@@ -145,7 +145,7 @@ def _assert_replica_parity(frontend: ReplicaFrontend, engine: PredictionEngine,
     for _ in range(12):
         nodes = rng.integers(0, engine.num_nodes, size=NODES_PER_REQUEST)
         assert np.array_equal(
-            frontend.predict_nodes(nodes, timeout=30), engine.predict_nodes(nodes)
+            frontend.predict(nodes, timeout=30), engine.predict_nodes(nodes)
         ), "replica prediction diverged from single-process"
 
 
@@ -162,7 +162,7 @@ def _bench_replicas(path: Path, graph, engine: PredictionEngine, per_thread: int
                     graph.num_nodes, per_thread, np.random.default_rng(13),
                     concurrency=REPLICA_CONCURRENCY,
                 ),
-                lambda nodes: frontend.predict_nodes(nodes, timeout=60),
+                lambda nodes: frontend.predict(nodes, timeout=60),
             )
             result["replicas"] = count
             scaling[str(count)] = result
@@ -191,7 +191,7 @@ def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict
                 nodes = rng.integers(0, graph.num_nodes, size=NODES_PER_REQUEST)
                 started = time.perf_counter()
                 try:
-                    future = frontend.submit(("nodes", nodes.tolist()))
+                    future = frontend.submit(nodes.tolist())
                 except Overloaded:
                     with lock:
                         shed += 1

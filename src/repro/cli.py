@@ -182,10 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how long the batcher holds a request while coalescing (milliseconds)",
     )
     serve.add_argument(
-        "--batching", action=argparse.BooleanOptionalAction, default=True,
-        help="micro-batch concurrent requests (--no-batching serves each alone)",
-    )
-    serve.add_argument(
         "--replicas", type=int, default=0, metavar="N",
         help="serve from N worker processes sharing one shared-memory "
              "logits table (0 = single-process engine)",
@@ -380,18 +376,16 @@ def _cmd_serve(args) -> int:
         )
         mode = f"replicas={args.replicas}"
     else:
-        engine = PredictionEngine(artifact, graph)
         server = PredictionServer(
-            engine,
+            PredictionEngine(artifact, graph),
             host=args.host,
             port=args.port,
-            batching=args.batching,
             max_batch_size=args.max_batch_size,
             max_wait_s=args.max_wait_ms / 1000.0,
             max_queue=args.queue_size,
             request_timeout_s=args.request_timeout,
         )
-        mode = f"batching={'on' if args.batching else 'off'}"
+        mode = "single process"
     print(
         f"serving {artifact.model_kind} on {server.url} "
         f"(graph {graph.name}: {graph.num_nodes} nodes; {mode})"

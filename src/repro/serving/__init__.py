@@ -12,14 +12,20 @@ to traffic::
     engine = PredictionEngine("model.rddart", graph)
     PredictionServer(engine, port=8080).serve_forever()
 
-or, from the command line, ``repro export`` + ``repro serve``.  For
-multi-process serving — N replica workers sharing one shared-memory
-logits table behind a bounded admission queue — build a
-:class:`ReplicaFrontend` instead of an engine and hand it to the server
+or, from the command line, ``repro export`` + ``repro serve``.  Both
+serving modes run on one admission-and-batching core
+(:class:`~repro.serving.batching.BatchingCore`: bounded queue, collect
+window, fault point, close, metrics) with two executors — the
+in-process :class:`MicroBatcher` over an engine, and the
+:class:`ReplicaFrontend`, whose executors are IPC round trips to N
+replica workers sharing one shared-memory logits table
 (``repro serve --replicas N``)::
 
     frontend = ReplicaFrontend("model.rddart", graph, replicas=4)
     PredictionServer(frontend=frontend, port=8080).serve_forever()
+
+Either way every ``/predict`` — a node-id list or an
+:class:`InductiveQuery` — is admission-controlled and batched.
 """
 
 from repro.serving.artifacts import (
@@ -35,7 +41,7 @@ from repro.serving.artifacts import (
 )
 from repro.serving.batching import BatcherClosed, MicroBatcher, Overloaded
 from repro.serving.cache import TieredCache
-from repro.serving.engine import PredictionEngine, ServingError
+from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 from repro.serving.frontend import ReplicaFrontend
 from repro.serving.refresh import BackgroundRefresher, RowRefresher
 from repro.serving.replica import ReplicaError, SharedLogitsTable
@@ -52,6 +58,7 @@ __all__ = [
     "ArtifactError",
     "BackgroundRefresher",
     "BatcherClosed",
+    "InductiveQuery",
     "RowRefresher",
     "MetricRegistry",
     "MicroBatcher",

@@ -1,26 +1,32 @@
-"""Micro-batching: concurrent callers share one forward pass.
+"""The serving core: bounded admission plus micro-batching over executors.
 
 A full-batch GCN computes *every* node's logits in one forward, so ten
 concurrent prediction requests answered independently cost ten forwards
-of which nine are pure waste.  The :class:`MicroBatcher` turns that
-waste into throughput: requests land on a queue, a worker drains up to
+of which nine are pure waste.  :class:`BatchingCore` turns that waste
+into throughput, and it is the one queue both serving modes run on:
+requests land on a bounded queue, a dispatcher thread drains up to
 ``max_batch_size`` of them (waiting at most ``max_wait_s`` for
 stragglers once the first request of a batch arrives), and hands the
-whole batch to a single ``batch_fn`` call — for the prediction engine,
-:meth:`~repro.serving.engine.PredictionEngine.predict_many`, which pays
-one shared logits-table computation.
+whole batch to its **executor** — the callable that answers a batch.
+There is one dispatcher per executor:
+
+* :class:`MicroBatcher` runs ``batch_fn`` in-thread (for the prediction
+  engine, :meth:`~repro.serving.engine.PredictionEngine.answer_batch`,
+  which pays one shared logits-table lookup for the batch's node lists);
+* :class:`~repro.serving.frontend.ReplicaFrontend` runs one IPC round
+  trip per batch to its replica process.
 
 Correctness contract:
 
 * **ordering / identity** — each request's result is routed back on its
   own future; batching can never hand caller A caller B's rows.
-* **bitwise parity** — ``batch_fn`` must be deterministic per request
+* **bitwise parity** — executors must be deterministic per request
   (the engine's eval-mode forwards are), so a batched response is
   bitwise identical to the unbatched one.
 * **fault isolation** — a request that fails (including via the
   ``serving:request`` fault point, see :mod:`repro.testing.faults`)
   errors *its own* future; the rest of the batch completes and the
-  worker loop survives to serve the next batch.
+  dispatcher survives to serve the next batch.
 * **admission control** — the queue is *bounded* (``max_queue``).  A
   submit against a full queue raises :class:`Overloaded` immediately
   instead of growing the queue without bound: overload sheds the excess
@@ -30,6 +36,7 @@ Correctness contract:
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
@@ -41,6 +48,11 @@ from repro.errors import ReproError
 from repro.serving.metrics import ServingMetrics
 from repro.testing.faults import fault_point
 
+# An executor answers one batch of payloads with one ``(ok, value)``
+# pair per payload, in order: ``value`` is the result when ``ok``, else
+# the exception that request fails with.  Raising fails the whole batch.
+Executor = Callable[[List[object]], List[Tuple[bool, object]]]
+
 
 class BatcherClosed(ReproError):
     """A request was submitted to a batcher that has been shut down."""
@@ -49,10 +61,10 @@ class BatcherClosed(ReproError):
 class Overloaded(ReproError):
     """A request was shed: the serving queue is at capacity.
 
-    Raised by :meth:`MicroBatcher.submit` (and the replica frontend's
-    admission queue) instead of enqueueing past the bound.  HTTP maps it
-    to ``429 Too Many Requests`` with a ``Retry-After`` hint of
-    :attr:`retry_after_s` (rounded up to whole seconds).
+    Raised by :meth:`BatchingCore.submit` instead of enqueueing past the
+    bound.  HTTP maps it to ``429 Too Many Requests`` with a
+    ``Retry-After`` hint of :attr:`retry_after_s` (rounded up to whole
+    seconds).
     """
 
     def __init__(self, message: str, retry_after_s: float = 0.05):
@@ -73,64 +85,87 @@ class _Pending:
 _SHUTDOWN = object()
 
 
-class MicroBatcher:
-    """Queue requests; execute them in shared batches on worker threads.
+def run_isolated(
+    batch_fn: Callable[[Sequence[object]], Sequence[object]], payloads: List[object]
+) -> List[Tuple[bool, object]]:
+    """Run ``batch_fn`` over a batch as an :data:`Executor`.
+
+    One call answers the whole batch.  If it fails, the culprit may be a
+    single malformed payload among several coalesced ones, so each
+    payload is re-run alone and only the ones that fail alone fail
+    (deterministic batch functions make the retry bitwise-equal).
+    """
+    try:
+        results = batch_fn(payloads)
+        if len(results) != len(payloads):
+            raise ReproError(
+                f"batch_fn returned {len(results)} results for {len(payloads)} requests"
+            )
+    except Exception as error:
+        if len(payloads) == 1:
+            return [(False, error)]
+        return [run_isolated(batch_fn, [payload])[0] for payload in payloads]
+    return [(True, result) for result in results]
+
+
+class BatchingCore:
+    """Bounded admission queue + micro-batching dispatchers.
+
+    Subclasses validate their own arguments, call ``__init__`` (which
+    validates the queue knobs), then :meth:`_start` their executors.
 
     Parameters
     ----------
-    batch_fn:
-        ``batch_fn(payloads) -> results`` executing a whole batch in one
-        call; must return exactly one result per payload, in order.
     max_batch_size:
-        Largest batch handed to ``batch_fn``.
+        Largest batch handed to an executor.
     max_wait_s:
-        How long a worker holds the first request of a batch while
+        How long a dispatcher holds the first request of a batch while
         waiting for more to coalesce.  Bounds the latency cost of
         batching; 0 batches only what is already queued.
-    workers:
-        Worker threads draining the queue.  One worker maximizes
-        coalescing; more help when ``batch_fn`` releases the GIL.
     max_queue:
-        Admission bound: requests queued (not yet picked up by a worker)
-        beyond this are shed with :class:`Overloaded` instead of
-        enqueued.  Sizes the worst-case queueing delay — under overload
-        the queue holds at most ``max_queue`` requests, so accepted
-        requests keep a bounded p99 while the excess is rejected fast.
+        Admission bound: requests queued (not yet picked up by a
+        dispatcher) beyond this are shed with :class:`Overloaded`
+        instead of enqueued.  Sizes the worst-case queueing delay —
+        under overload the queue holds at most ``max_queue`` requests,
+        so accepted requests keep a bounded p99 while the excess is
+        rejected fast.
     metrics:
-        Optional :class:`ServingMetrics` receiving request counts,
-        per-request latency, batch sizes, shed and error counts.
+        :class:`ServingMetrics` receiving request counts, per-request
+        latency, batch sizes, shed and error counts (a fresh registry
+        when ``None``).
     """
 
     def __init__(
         self,
-        batch_fn: Callable[[Sequence[object]], Sequence[object]],
         *,
-        max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
-        workers: int = 1,
-        max_queue: int = 1024,
-        metrics: Optional[ServingMetrics] = None,
+        max_batch_size: int,
+        max_wait_s: float,
+        max_queue: int,
+        metrics: Optional[ServingMetrics],
     ):
         if max_batch_size < 1:
             raise ReproError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_s < 0:
             raise ReproError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        if workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
             raise ReproError(f"max_queue must be >= 1, got {max_queue}")
-        self.batch_fn = batch_fn
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
         self.max_queue = int(max_queue)
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else ServingMetrics()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.max_queue)
         self._lock = threading.Lock()
         self._closed = False
         self._sequence = 0
+        self._threads: List[threading.Thread] = []
+
+    def _start(self, executors: Sequence[Executor], name: str) -> None:
+        """Start one dispatcher thread per executor."""
         self._threads = [
-            threading.Thread(target=self._worker, name=f"microbatcher-{i}", daemon=True)
-            for i in range(workers)
+            threading.Thread(
+                target=self._dispatch, args=(executor,), name=f"{name}-{i}", daemon=True
+            )
+            for i, executor in enumerate(executors)
         ]
         for thread in self._threads:
             thread.start()
@@ -144,7 +179,7 @@ class MicroBatcher:
         The closed check and the enqueue happen under one lock: checking,
         releasing, and then enqueuing would let a request racing
         :meth:`close` land *behind* the shutdown sentinels, where no
-        worker would ever resolve its future.
+        dispatcher would ever resolve its future.
 
         Raises :class:`Overloaded` (without consuming an arrival
         sequence number) when the queue is at ``max_queue``.
@@ -156,14 +191,12 @@ class MicroBatcher:
             try:
                 self._queue.put_nowait(pending)
             except queue.Full:
-                if self.metrics is not None:
-                    self.metrics.inc("shed_total")
+                self.metrics.inc("shed_total")
                 raise Overloaded(
                     f"serving queue is full ({self.max_queue} requests queued)"
                 ) from None
             self._sequence += 1
-        if self.metrics is not None:
-            self.metrics.inc("requests_total")
+        self.metrics.inc("requests_total")
         return pending.future
 
     def predict(self, payload: object, timeout: Optional[float] = None) -> object:
@@ -171,16 +204,17 @@ class MicroBatcher:
         return self.submit(payload).result(timeout=timeout)
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop accepting requests; drain workers; fail leftovers.
+        """Stop accepting requests; drain dispatchers; fail leftovers.
 
-        Workers batch whatever precedes their shutdown sentinel, but a
-        request enqueued between one worker's sentinel and another's (or
-        left behind by a worker that died or timed out) would otherwise
+        Dispatchers batch whatever precedes their shutdown sentinel, but
+        a request enqueued between one dispatcher's sentinel and
+        another's (or left behind by one that timed out) would otherwise
         sit on the queue forever with its future unresolved — a
         ``predict()`` caller with no timeout hangs for good.  After the
         joins, everything still queued is failed with
         :class:`BatcherClosed`, so every future ever returned by
-        :meth:`submit` resolves.
+        :meth:`submit` resolves.  Then :meth:`_on_close` releases the
+        executors' resources.
         """
         with self._lock:
             if self._closed:
@@ -190,7 +224,7 @@ class MicroBatcher:
             # behind these sentinels.  The queue is bounded and may be
             # full of shed-worthy requests at shutdown, so sentinel
             # placement evicts (and fails) queued requests rather than
-            # blocking close() behind a wedged worker.
+            # blocking close() behind a wedged dispatcher.
             for _ in self._threads:
                 self._put_sentinel()
         for thread in self._threads:
@@ -200,16 +234,19 @@ class MicroBatcher:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if item is _SHUTDOWN:
-                continue
-            self._fail(item, BatcherClosed("batcher closed before the request ran"))
-        # A worker that outlived its join (wedged in a slow batch_fn) may
-        # have had its sentinel swallowed by the drain; repost one per
-        # survivor so it can still exit once its batch returns.  The
+            if item is not _SHUTDOWN:
+                self._fail(item, BatcherClosed("batcher closed before the request ran"))
+        # A dispatcher that outlived its join (wedged in a slow batch)
+        # may have had its sentinel swallowed by the drain; repost one
+        # per survivor so it can still exit once its batch returns.  The
         # drain just emptied the queue, so these never block for long.
         for thread in self._threads:
             if thread.is_alive():
                 self._put_sentinel()
+        self._on_close()
+
+    def _on_close(self) -> None:
+        """Release executor resources once the queue is shut (a hook)."""
 
     def _put_sentinel(self) -> None:
         """Place one shutdown sentinel without ever blocking.
@@ -217,8 +254,9 @@ class MicroBatcher:
         A full queue at close time holds requests that are doomed anyway
         (the post-join drain would fail them); evicting one to make room
         for the sentinel just fails it earlier.  Bounded attempts: if a
-        sentinel evicts another sentinel (tiny queue, several workers)
-        the shortfall is repaired by close()'s post-join repost loop.
+        sentinel evicts another sentinel (tiny queue, several
+        dispatchers) the shortfall is repaired by close()'s post-join
+        repost loop.
         """
         for _ in range(self.max_queue + len(self._threads) + 1):
             try:
@@ -239,7 +277,7 @@ class MicroBatcher:
                     return
                 self._fail(evicted, BatcherClosed("batcher closed before the request ran"))
 
-    def __enter__(self) -> "MicroBatcher":
+    def __enter__(self) -> "BatchingCore":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -247,15 +285,16 @@ class MicroBatcher:
         return False
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Dispatcher side
     # ------------------------------------------------------------------
     def _collect(self, first: _Pending) -> Tuple[List[_Pending], bool]:
         """Coalesce queued requests behind ``first`` until size or deadline.
 
         Returns ``(batch, shutdown)``; a sentinel drained mid-batch is
-        consumed by *this* worker (it runs the batch, then exits) rather
-        than reposted — a repost against a full bounded queue would
-        block the worker behind the very backlog it should be draining.
+        consumed by *this* dispatcher (it runs the batch, then exits)
+        rather than reposted — a repost against a full bounded queue
+        would block the dispatcher behind the very backlog it should be
+        draining.
         """
         batch = [first]
         deadline = time.monotonic() + self.max_wait_s
@@ -270,19 +309,18 @@ class MicroBatcher:
             batch.append(item)
         return batch, False
 
-    def _worker(self) -> None:
+    def _dispatch(self, execute: Executor) -> None:
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
             batch, shutdown = self._collect(item)
-            self._run_batch(batch)
+            self._run_batch(execute, batch)
             if shutdown:
                 return
 
-    def _run_batch(self, batch: List[_Pending]) -> None:
-        if self.metrics is not None:
-            self.metrics.observe_batch_size(len(batch))
+    def _run_batch(self, execute: Executor, batch: List[_Pending]) -> None:
+        self.metrics.observe_batch_size(len(batch))
         live: List[_Pending] = []
         for pending in batch:
             try:
@@ -294,40 +332,57 @@ class MicroBatcher:
         if not live:
             return
         try:
-            results = self.batch_fn([pending.payload for pending in live])
-            if len(results) != len(live):
-                raise ReproError(
-                    f"batch_fn returned {len(results)} results for {len(live)} requests"
-                )
+            results = execute([pending.payload for pending in live])
         except Exception as error:
-            # Batch-level failure.  With several coalesced requests the
-            # culprit may be a single malformed payload, so isolate: run
-            # each request alone and fail only the ones that fail alone.
-            # (Deterministic batch_fns make the retry bitwise-equal.)
-            if len(live) == 1:
-                self._fail(live[0], error)
-            else:
-                for pending in live:
-                    self._run_isolated(pending)
+            for pending in live:
+                self._fail(pending, error)
             return
         now = time.monotonic()
-        for pending, result in zip(live, results):
-            if self.metrics is not None:
+        for pending, (ok, value) in zip(live, results):
+            if ok:
                 self.metrics.observe_latency(now - pending.submitted)
-            pending.future.set_result(result)
-
-    def _run_isolated(self, pending: _Pending) -> None:
-        """Retry one already-fault-checked request alone (error isolation)."""
-        try:
-            (result,) = self.batch_fn([pending.payload])
-        except Exception as error:
-            self._fail(pending, error)
-            return
-        if self.metrics is not None:
-            self.metrics.observe_latency(time.monotonic() - pending.submitted)
-        pending.future.set_result(result)
+                pending.future.set_result(value)
+            else:
+                self._fail(pending, value)
 
     def _fail(self, pending: _Pending, error: Exception) -> None:
-        if self.metrics is not None:
-            self.metrics.inc("errors_total")
+        self.metrics.inc("errors_total")
         pending.future.set_exception(error)
+
+
+class MicroBatcher(BatchingCore):
+    """The serving core over in-thread ``batch_fn`` executors.
+
+    Parameters
+    ----------
+    batch_fn:
+        ``batch_fn(payloads) -> results`` executing a whole batch in one
+        call; must return exactly one result per payload, in order.  A
+        failing batch is re-run request by request (:func:`run_isolated`),
+        so one bad payload fails only its own future.
+    workers:
+        Dispatcher threads draining the queue, each running ``batch_fn``.
+        One maximizes coalescing; more help when ``batch_fn`` releases
+        the GIL.
+    max_batch_size / max_wait_s / max_queue / metrics:
+        The core's knobs (see :class:`BatchingCore`).
+    """
+
+    def __init__(
+        self,
+        batch_fn: Callable[[Sequence[object]], Sequence[object]],
+        *,
+        max_batch_size: int = 32,
+        max_wait_s: float = 0.002,
+        workers: int = 1,
+        max_queue: int = 1024,
+        metrics: Optional[ServingMetrics] = None,
+    ):
+        if workers < 1:
+            raise ReproError(f"workers must be >= 1, got {workers}")
+        super().__init__(
+            max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+            max_queue=max_queue, metrics=metrics,
+        )
+        self.batch_fn = batch_fn
+        self._start([functools.partial(run_isolated, batch_fn)] * workers, "microbatcher")

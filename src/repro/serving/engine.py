@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -75,6 +76,19 @@ NodeIds = Sequence[int]
 
 class ServingError(ReproError):
     """A serving request is malformed or unanswerable by this engine."""
+
+
+@dataclass(frozen=True)
+class InductiveQuery:
+    """The serving payload of an inductive request: one unseen node's
+    feature vector and the known nodes it links to.
+
+    The other serving payload is a plain node-id list (transductive);
+    :meth:`PredictionEngine.answer_batch` answers both.
+    """
+
+    features: object
+    neighbors: NodeIds
 
 
 class PredictionEngine:
@@ -359,7 +373,10 @@ class PredictionEngine:
         return table
 
     def _check_nodes(self, node_ids: NodeIds) -> np.ndarray:
-        nodes = np.asarray(node_ids, dtype=np.int64)
+        try:
+            nodes = np.asarray(node_ids, dtype=np.int64)
+        except OverflowError as exc:
+            raise ServingError(f"node ids must fit in int64: {exc}") from None
         if nodes.ndim != 1 or nodes.size == 0:
             raise ServingError(f"nodes must be a nonempty 1-D id list, got shape {nodes.shape}")
         if nodes.min() < 0 or nodes.max() >= self.graph.num_nodes:
@@ -412,6 +429,24 @@ class PredictionEngine:
                 table = self.logits_table()
             return [table[nodes] for nodes in checked], self._version
 
+    def answer_batch(self, payloads: Sequence[object]) -> List[np.ndarray]:
+        """Answer one batch of serving payloads, in order.
+
+        Node-id lists share **one** :meth:`predict_many` call, which
+        receives the payload objects unchanged; each
+        :class:`InductiveQuery` runs :meth:`predict_inductive`.  This is
+        the batch function of both serving executors (the in-process
+        micro-batcher and every replica worker).
+        """
+        node_lists = [p for p in payloads if not isinstance(p, InductiveQuery)]
+        rows = iter(self.predict_many(node_lists) if node_lists else ())
+        return [
+            self.predict_inductive(p.features, p.neighbors)
+            if isinstance(p, InductiveQuery)
+            else next(rows)
+            for p in payloads
+        ]
+
     def predict_proba_nodes(self, node_ids: NodeIds) -> np.ndarray:
         return softmax_rows(self.predict_nodes(node_ids))
 
@@ -428,7 +463,10 @@ class PredictionEngine:
         """
         with self._lock:
             graph = self.graph
-            features = np.asarray(features, dtype=self.artifact.dtype)
+            try:
+                features = np.asarray(features, dtype=self.artifact.dtype)
+            except OverflowError as exc:
+                raise ServingError(f"features out of range: {exc}") from None
             if features.shape != (graph.num_features,):
                 raise ServingError(
                     f"features must have shape ({graph.num_features},), got {features.shape}"

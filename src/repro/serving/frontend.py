@@ -1,23 +1,20 @@
-"""The replica frontend: admission control + fan-out over worker processes.
+"""The replica frontend: the serving core over worker processes.
 
 :class:`ReplicaFrontend` is the in-parent half of the replica tier
-(:mod:`repro.serving.replica` is the worker half).  It owns:
+(:mod:`repro.serving.replica` is the worker half).  It is a
+:class:`~repro.serving.batching.BatchingCore` — the same bounded
+admission queue, collect window, ``serving:request`` fault point, close
+and metrics as the in-process micro-batcher — whose executors are one
+IPC round trip per batch to a replica process.  What it adds:
 
 * the **one** shared-memory logits table — computed by a parent-side
   engine at construction, placed in a
   :class:`~repro.serving.replica.SharedLogitsTable`, attached read-only
   by every replica;
-* a **bounded admission queue** — the single overload valve for the
-  whole tier.  ``submit()`` against a full queue raises
-  :class:`~repro.serving.batching.Overloaded` immediately (HTTP 429),
-  so saturation sheds the excess instead of growing latency without
-  bound;
-* one **dispatcher thread per replica**, each pulling from the shared
-  admission queue, coalescing up to ``max_batch_size`` requests, and
-  doing one blocking IPC round trip to its replica.  Pulling from a
-  shared queue is natural least-loaded balancing: a replica stuck in a
-  slow batch simply stops taking work while its siblings drain the
-  queue;
+* **one executor per replica**, each dispatcher pulling from the shared
+  admission queue.  Pulling from a shared queue is natural
+  least-loaded balancing: a replica stuck in a slow batch simply stops
+  taking work while its siblings drain the queue;
 * **self-healing** — a replica that dies or stops answering
   (``reply_timeout_s``) is terminated and re-forked with fresh queues,
   and the in-flight batch is retried once on the revived replica
@@ -28,9 +25,11 @@
   throughout, so an artifact upgrade is zero-downtime by construction.
 
 Determinism: each replica holds an identical engine attached to the
-same physical table, and inductive sampling is seeded from query
-content, so fan-out answers are bitwise-equal to a single-process
-engine's — the property the replica parity tests check.
+same physical table and answers a batch exactly as the in-process
+executor does (:meth:`~repro.serving.engine.PredictionEngine.answer_batch`),
+and inductive sampling is seeded from query content, so fan-out answers
+are bitwise-equal to a single-process engine's — the property the
+replica parity tests check.
 
 Streaming engines are out of scope here: a delta-mutated table cannot
 live in a read-only shared segment.  Use a single-process
@@ -40,25 +39,20 @@ live in a read-only shared segment.  Use a single-process
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import queue
 import threading
-import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.serving.artifacts import ModelArtifact
-from repro.serving.batching import BatcherClosed, Overloaded, _Pending
+from repro.serving.batching import BatcherClosed, BatchingCore
 from repro.serving.engine import PredictionEngine, ServingError
 from repro.serving.metrics import ServingMetrics
 from repro.serving.replica import ReplicaError, SharedLogitsTable, replica_main
-from repro.testing.faults import fault_point
-
-_STOP = object()
 
 
 class _Replica:
@@ -74,8 +68,12 @@ class _Replica:
         self.lock = threading.Lock()
 
 
-class ReplicaFrontend:
+class ReplicaFrontend(BatchingCore):
     """Serve one artifact from N worker processes sharing one logits table.
+
+    Requests are the serving payloads of
+    :meth:`~repro.serving.engine.PredictionEngine.answer_batch`: a
+    node-id list or an :class:`~repro.serving.engine.InductiveQuery`.
 
     Parameters
     ----------
@@ -88,13 +86,12 @@ class ReplicaFrontend:
     engine_kwargs:
         Forwarded to every engine construction (parent and replicas);
         ``streaming=True`` is rejected — see the module docstring.
-    max_queue:
-        Admission bound across the whole tier; excess submits raise
-        :class:`Overloaded`.
-    max_batch_size / max_wait_s:
-        IPC batch coalescing knobs (same meaning as the micro-batcher's).
+    max_queue / max_batch_size / max_wait_s / metrics:
+        The core's knobs (see
+        :class:`~repro.serving.batching.BatchingCore`); ``max_queue`` is
+        the admission bound across the whole tier.
     reply_timeout_s:
-        How long a dispatcher waits for its replica's answer before
+        How long an executor waits for its replica's answer before
         declaring it wedged and re-forking it.
     spawn_timeout_s:
         How long to wait for a replica's ready handshake at fork time.
@@ -116,20 +113,18 @@ class ReplicaFrontend:
     ):
         if replicas < 1:
             raise ReproError(f"replicas must be >= 1, got {replicas}")
-        if max_queue < 1:
-            raise ReproError(f"max_queue must be >= 1, got {max_queue}")
+        super().__init__(
+            max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+            max_queue=max_queue, metrics=metrics,
+        )
         self._engine_kwargs = dict(engine_kwargs or {})
         if self._engine_kwargs.get("streaming"):
             raise ServingError(
                 "the replica tier serves a static shared table; "
                 "streaming engines must run single-process"
             )
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
-        self.max_queue = int(max_queue)
         self.reply_timeout_s = float(reply_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
-        self.metrics = metrics if metrics is not None else ServingMetrics()
         self.artifact_version = 0
 
         # Parent engine: computes the table once, then serves as the
@@ -149,31 +144,17 @@ class ReplicaFrontend:
         except ValueError:  # pragma: no cover - non-POSIX
             self._ctx = multiprocessing.get_context()
 
-        self._admission: "queue.Queue" = queue.Queue(maxsize=self.max_queue)
-        self._lock = threading.Lock()
-        self._closed = False
-        self._sequence = 0
-
         self._replicas: List[_Replica] = []
         try:
             for index in range(replicas):
                 self._replicas.append(self._spawn(index))
         except Exception:
-            self._teardown_replicas()
-            self._shared.close()
-            self._shared.unlink()
+            self._on_close()
             raise
-        self._dispatchers = [
-            threading.Thread(
-                target=self._dispatch,
-                args=(replica,),
-                name=f"replica-dispatch-{replica.index}",
-                daemon=True,
-            )
-            for replica in self._replicas
-        ]
-        for thread in self._dispatchers:
-            thread.start()
+        self._start(
+            [functools.partial(self._execute, replica) for replica in self._replicas],
+            "replica-dispatch",
+        )
 
     # ------------------------------------------------------------------
     # Introspection (for /healthz)
@@ -218,44 +199,6 @@ class ReplicaFrontend:
         return infos
 
     # ------------------------------------------------------------------
-    # Client side
-    # ------------------------------------------------------------------
-    def submit(self, payload: Tuple) -> "np.ndarray":
-        """Enqueue one payload; returns a future resolving to its logits.
-
-        Payloads are the replica protocol's: ``("nodes", ids)`` or
-        ``("inductive", features, neighbor_ids)``.  Raises
-        :class:`Overloaded` when the admission queue is full and
-        :class:`BatcherClosed` after :meth:`close`.
-        """
-        with self._lock:
-            if self._closed:
-                raise BatcherClosed("replica frontend is closed")
-            pending = _Pending(key=self._sequence, payload=payload)
-            try:
-                self._admission.put_nowait(pending)
-            except queue.Full:
-                self.metrics.inc("shed_total")
-                raise Overloaded(
-                    f"serving queue is full ({self.max_queue} requests queued)"
-                ) from None
-            self._sequence += 1
-        self.metrics.inc("requests_total")
-        return pending.future
-
-    def predict_nodes(self, node_ids: Sequence[int], timeout: Optional[float] = None) -> np.ndarray:
-        return self.submit(("nodes", list(node_ids))).result(timeout=timeout)
-
-    def predict_inductive(
-        self, features, neighbor_ids: Sequence[int], timeout: Optional[float] = None
-    ) -> np.ndarray:
-        features = np.asarray(features)
-        return self.submit(("inductive", features, list(neighbor_ids))).result(timeout=timeout)
-
-    def predict(self, payload: Tuple, timeout: Optional[float] = None):
-        return self.submit(payload).result(timeout=timeout)
-
-    # ------------------------------------------------------------------
     # Rolling reload
     # ------------------------------------------------------------------
     def reload(self, artifact_path: Union[str, Path]) -> int:
@@ -277,7 +220,7 @@ class ReplicaFrontend:
         failures = []
         for replica in self._replicas:
             if not replica.process.is_alive():
-                # A dead replica whose dispatcher has not picked up work
+                # A dead replica whose executor has not picked up work
                 # yet (healing is lazy) would fail the swap; re-fork it
                 # now — it comes up on the old artifact and reloads like
                 # its siblings.
@@ -312,31 +255,8 @@ class ReplicaFrontend:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self, timeout: Optional[float] = 5.0) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for _ in self._dispatchers:
-                self._put_stop()
-        for thread in self._dispatchers:
-            thread.join(timeout=timeout)
-        while True:
-            try:
-                item = self._admission.get_nowait()
-            except queue.Empty:
-                break
-            if item is _STOP:
-                continue
-            self._fail(item, BatcherClosed("frontend closed before the request ran"))
-        for thread in self._dispatchers:
-            if thread.is_alive():
-                self._put_stop()
-        self._teardown_replicas()
-        self._shared.close()
-        self._shared.unlink()
-
-    def _teardown_replicas(self) -> None:
+    def _on_close(self) -> None:
+        """Stop the replica processes and destroy the shared table."""
         for replica in self._replicas:
             if replica.process.is_alive():
                 try:
@@ -348,34 +268,8 @@ class ReplicaFrontend:
             if replica.process.is_alive():
                 replica.process.terminate()
                 replica.process.join(timeout=1.0)
-
-    def _put_stop(self) -> None:
-        """Place one dispatcher stop without blocking (mirrors the
-        micro-batcher's sentinel eviction: a full queue at close holds
-        doomed requests, so evicting one just fails it earlier)."""
-        for _ in range(self.max_queue + len(self._dispatchers) + 1):
-            try:
-                self._admission.put_nowait(_STOP)
-                return
-            except queue.Full:
-                try:
-                    evicted = self._admission.get_nowait()
-                except queue.Empty:
-                    continue
-                if evicted is _STOP:
-                    try:
-                        self._admission.put_nowait(evicted)
-                    except queue.Full:
-                        pass
-                    return
-                self._fail(evicted, BatcherClosed("frontend closed before the request ran"))
-
-    def __enter__(self) -> "ReplicaFrontend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+        self._shared.close()
+        self._shared.unlink()
 
     # ------------------------------------------------------------------
     # Replica management
@@ -426,69 +320,24 @@ class ReplicaFrontend:
         self.metrics.inc("replica_restarts_total")
 
     # ------------------------------------------------------------------
-    # Dispatcher side
+    # Executor
     # ------------------------------------------------------------------
-    def _collect(self, first: _Pending) -> Tuple[List[_Pending], bool]:
-        batch = [first]
-        deadline = time.monotonic() + self.max_wait_s
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            try:
-                item = self._admission.get(
-                    block=remaining > 0, timeout=max(remaining, 0) or None
-                )
-            except queue.Empty:
-                break
-            if item is _STOP:
-                return batch, True
-            batch.append(item)
-        return batch, False
-
-    def _dispatch(self, replica: _Replica) -> None:
-        while True:
-            item = self._admission.get()
-            if item is _STOP:
-                return
-            batch, stop = self._collect(item)
-            self._run_batch(replica, batch)
-            if stop:
-                return
-
-    def _run_batch(self, replica: _Replica, batch: List[_Pending]) -> None:
-        self.metrics.observe_batch_size(len(batch))
-        live: List[_Pending] = []
-        for pending in batch:
-            try:
-                fault_point("serving:request", key=pending.key, payload=pending.payload)
-            except Exception as error:
-                self._fail(pending, error)
-            else:
-                live.append(pending)
-        if not live:
-            return
-        payloads = [pending.payload for pending in live]
+    def _execute(self, replica: _Replica, payloads: List[object]) -> List[Tuple[bool, object]]:
+        """Answer one batch on ``replica`` (the core's executor)."""
         try:
-            results = self._roundtrip(replica, payloads)
+            return self._roundtrip(replica, payloads)
         except ReplicaError:
+            if self._closed:
+                # close() already stopped the replicas: fail the batch
+                # rather than re-fork a worker nobody will shut down.
+                raise BatcherClosed("frontend closed before the request ran") from None
             # Dead or wedged replica: re-fork it and retry the batch
             # once.  Predictions are pure, so the retry is safe — and
             # bitwise-identical, per the engine's determinism contract.
-            try:
-                self._revive(replica)
-                results = self._roundtrip(replica, payloads)
-            except Exception as retry_error:
-                for pending in live:
-                    self._fail(pending, retry_error)
-                return
-        now = time.monotonic()
-        for pending, (ok, value) in zip(live, results):
-            if ok:
-                self.metrics.observe_latency(now - pending.submitted)
-                pending.future.set_result(value)
-            else:
-                self._fail(pending, value)
+            self._revive(replica)
+            return self._roundtrip(replica, payloads)
 
-    def _roundtrip(self, replica: _Replica, payloads: List[Tuple]) -> List[Tuple[bool, object]]:
+    def _roundtrip(self, replica: _Replica, payloads: List[object]) -> List[Tuple[bool, object]]:
         with replica.lock:
             if not replica.process.is_alive():
                 raise ReplicaError(f"replica {replica.index} died")
@@ -503,7 +352,3 @@ class ReplicaFrontend:
         if kind != "results" or len(results) != len(payloads):
             raise ReplicaError(f"replica {replica.index} answered out of protocol")
         return results
-
-    def _fail(self, pending: _Pending, error: Exception) -> None:
-        self.metrics.inc("errors_total")
-        pending.future.set_exception(error)

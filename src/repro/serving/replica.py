@@ -20,8 +20,11 @@ Two pieces live here:
   attach the shared table, then answer framed messages off a request
   queue (``predict`` batches, ``ping``, ``reload``, ``shutdown``).  One
   message in, one reply out, strictly sequential — the frontend's
-  per-replica dispatcher enforces the pairing, so no correlation ids
-  are needed.
+  per-replica executor enforces the pairing, so no correlation ids
+  are needed.  A ``predict`` batch is answered exactly as the
+  in-process micro-batcher answers one:
+  :meth:`~repro.serving.engine.PredictionEngine.answer_batch` under
+  :func:`~repro.serving.batching.run_isolated`.
 
 The worker is **fork-spawned**: the parent's loaded artifact and graph
 ride into the child as inherited (copy-on-write) memory, so boot costs
@@ -42,6 +45,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
+from repro.serving.batching import run_isolated
 from repro.serving.engine import PredictionEngine
 
 
@@ -129,16 +133,6 @@ class SharedLogitsTable:
 # ----------------------------------------------------------------------
 # Worker process body
 # ----------------------------------------------------------------------
-def _answer(engine: PredictionEngine, payload) -> np.ndarray:
-    """One request payload -> logits; raises ServingError on bad input."""
-    kind = payload[0]
-    if kind == "nodes":
-        return engine.predict_nodes(payload[1])
-    if kind == "inductive":
-        return engine.predict_inductive(payload[1], payload[2])
-    raise ReplicaError(f"unknown payload kind {kind!r}")
-
-
 def replica_main(
     index: int,
     artifact,
@@ -154,7 +148,8 @@ def replica_main(
 
     ==================================  =================================
     ``("predict", [payload, ...])``     ``("results", [(ok, value), ...])``
-                                        — per-payload isolation: a bad
+                                        — one ``answer_batch`` call with
+                                        per-payload isolation: a bad
                                         payload errors alone, the rest
                                         of the batch answers normally
     ``("ping",)``                       ``("pong", info_dict)``
@@ -215,12 +210,7 @@ def replica_main(
             )
             continue
         if op == "predict":
-            results = []
-            for payload in message[1]:
-                try:
-                    results.append((True, _answer(engine, payload)))
-                except Exception as error:
-                    results.append((False, error))
+            results = run_isolated(engine.answer_batch, message[1])
             served += len(results)
             response_queue.put(("results", results))
             continue

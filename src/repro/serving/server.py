@@ -1,19 +1,22 @@
-"""Stdlib HTTP front end for the prediction engine or replica tier.
+"""Stdlib HTTP front end over the serving core.
 
-A :class:`PredictionServer` wires the pieces of the serving subsystem
-together: a compute backend — either a single in-process
-:class:`~repro.serving.engine.PredictionEngine` (optionally behind a
-:class:`~repro.serving.batching.MicroBatcher`) or a multi-process
-:class:`~repro.serving.frontend.ReplicaFrontend` — plus a
-:class:`~repro.serving.metrics.ServingMetrics` sink.  The API is JSON
-over ``http.server.ThreadingHTTPServer`` with keep-alive (HTTP/1.1;
-every response carries ``Content-Length``) and these routes:
+A :class:`PredictionServer` puts a JSON API on one serving core
+(:class:`BatchingCore`): a :class:`MicroBatcher` over an in-process
+:class:`~repro.serving.engine.PredictionEngine`, or a
+:class:`~repro.serving.frontend.ReplicaFrontend` over worker processes.
+Every ``/predict`` — transductive and inductive, in both modes — is
+validated here once and then goes through the core as
+``submit(payload).result(timeout)``, so admission control, deadlines,
+fault injection and metrics behave the same either way.  The API is
+JSON over ``http.server.ThreadingHTTPServer`` with keep-alive
+(HTTP/1.1; every response carries ``Content-Length``) and these routes:
 
 ``POST /predict``
     ``{"nodes": [0, 5, 9]}`` → transductive logits/labels for known
     nodes, or ``{"features": [...], "neighbors": [3, 4]}`` → an
-    inductive prediction for one unseen node.  ``"return_probs": true``
-    adds softmax probabilities.
+    inductive prediction for one unseen node.  Node ids are JSON
+    integers (one, or a list); features are a list of JSON numbers.
+    ``"return_probs": true`` adds softmax probabilities.
 ``POST /admin/reload``
     ``{"artifact": "/path/to/v2.rddart"}`` → rolling zero-downtime
     artifact swap (replica serving only).
@@ -25,7 +28,8 @@ every response carries ``Content-Length``) and these routes:
 
 Failure modes are typed, bounded, and observable:
 
-* client errors (bad JSON, unknown ids, wrong shapes) → 400;
+* client errors (bad JSON, malformed bodies, unknown ids, wrong shapes)
+  → 400, counted in ``http_client_errors_total``;
 * **overload** — the bounded admission queue is full — → 429 with a
   ``Retry-After`` header (and the ``http_429`` counter), so saturation
   sheds excess load instead of queueing without bound;
@@ -36,7 +40,7 @@ Failure modes are typed, bounded, and observable:
   (``http_disconnects_total``) and the thread stays clean, never a
   traceback;
 * other server-side failures — including injected ``serving:request``
-  faults — → 500, and never take the batching loop down with them.
+  faults — → 500, and never take the serving core down with them.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
@@ -53,10 +57,41 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.models.base import softmax_rows
-from repro.serving.batching import MicroBatcher, Overloaded
-from repro.serving.engine import PredictionEngine, ServingError
+from repro.serving.batching import BatchingCore, MicroBatcher, Overloaded
+from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 from repro.serving.frontend import ReplicaFrontend
 from repro.serving.metrics import ServingMetrics, prometheus_text
+
+# JSON numbers as ``json.loads`` returns them (``bool`` is its own type).
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _node_ids(value: object, name: str) -> list:
+    """A JSON integer or list of integers as an id list (the list object
+    itself, unchanged); :class:`ServingError` otherwise."""
+    if type(value) is int:
+        return [value]
+    if type(value) is list and set(map(type, value)) <= {int}:
+        return value
+    raise ServingError(f'"{name}" must be a JSON integer or a list of JSON integers')
+
+
+def _parse_predict(body: object) -> object:
+    """The serving payload of a ``/predict`` body: a node-id list or an
+    :class:`InductiveQuery`.  Malformed bodies raise :class:`ServingError`
+    (HTTP 400); range and shape checks stay with the engine."""
+    if not isinstance(body, dict):
+        raise ServingError("request body must be a JSON object")
+    if "nodes" in body:
+        return _node_ids(body["nodes"], "nodes")
+    if "features" in body:
+        features = body["features"]
+        if type(features) is not list or not set(map(type, features)) <= _NUMBER_TYPES:
+            raise ServingError('"features" must be a list of JSON numbers')
+        if "neighbors" not in body:
+            raise ServingError('inductive requests need "neighbors" (known node ids)')
+        return InductiveQuery(features, _node_ids(body["neighbors"], "neighbors"))
+    raise ServingError('request must contain "nodes" or "features"')
 
 
 class PredictionServer:
@@ -65,22 +100,18 @@ class PredictionServer:
     Parameters
     ----------
     engine:
-        A loaded :class:`PredictionEngine` for single-process serving.
-        Exactly one of ``engine`` and ``frontend`` must be given.
+        A loaded :class:`PredictionEngine` for single-process serving,
+        answered by a :class:`MicroBatcher` the server builds.  Exactly
+        one of ``engine`` and ``frontend`` must be given.
     host / port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
     frontend:
         A :class:`ReplicaFrontend` for multi-process serving.  The
         server adopts its metrics registry (one ``/metrics`` view) and
         closes it on :meth:`close`.
-    batching:
-        Route transductive requests through a :class:`MicroBatcher`
-        (engine mode only — the frontend does its own IPC batching);
-        when off, handler threads call the engine on a small compute
-        pool so timeouts still apply.
     max_batch_size / max_wait_s / max_queue:
-        Micro-batching and admission-control knobs, forwarded to the
-        batcher.
+        The micro-batcher's queue knobs (engine mode; a frontend
+        carries its own).
     request_timeout_s:
         Deadline for any single prediction; expiry returns 503 and
         frees the handler thread.
@@ -96,7 +127,6 @@ class PredictionServer:
         port: int = 8080,
         *,
         frontend: Optional[ReplicaFrontend] = None,
-        batching: bool = True,
         max_batch_size: int = 32,
         max_wait_s: float = 0.002,
         max_queue: int = 1024,
@@ -110,29 +140,17 @@ class PredictionServer:
         self.engine = engine
         self.frontend = frontend
         self.request_timeout_s = float(request_timeout_s)
-        if metrics is not None:
-            self.metrics = metrics
-        elif frontend is not None:
-            self.metrics = frontend.metrics
-        else:
-            self.metrics = ServingMetrics()
-        self.batcher: Optional[MicroBatcher] = None
-        self._compute: Optional[ThreadPoolExecutor] = None
-        if engine is not None:
-            if batching:
-                self.batcher = MicroBatcher(
-                    engine.predict_many,
-                    max_batch_size=max_batch_size,
-                    max_wait_s=max_wait_s,
-                    max_queue=max_queue,
-                    metrics=self.metrics,
-                )
-            # Direct engine calls (inductive, and transductive with
-            # batching off) run on this pool so the handler can abandon
-            # them at the deadline instead of blocking forever.
-            self._compute = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="serving-compute"
-            )
+        if metrics is None:
+            metrics = frontend.metrics if frontend is not None else ServingMetrics()
+        self.metrics = metrics
+        # The serving core every /predict goes through.
+        self.batcher: BatchingCore = frontend if frontend is not None else MicroBatcher(
+            engine.answer_batch,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+            max_queue=max_queue,
+            metrics=metrics,
+        )
         handler = _make_handler(self)
         self.httpd = _Server((host, port), handler)
         self.httpd.daemon_threads = True
@@ -172,12 +190,7 @@ class PredictionServer:
     def close(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
-        if self.batcher is not None:
-            self.batcher.close()
-        if self._compute is not None:
-            self._compute.shutdown(wait=False, cancel_futures=True)
-        if self.frontend is not None:
-            self.frontend.close()
+        self.batcher.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -192,58 +205,20 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Request handling (called from handler threads)
     # ------------------------------------------------------------------
-    def handle_predict(self, body: dict) -> dict:
-        if not isinstance(body, dict):
-            raise ServingError("request body must be a JSON object")
-        if "nodes" in body:
-            return self._predict_nodes(body)
-        if "features" in body:
-            return self._predict_inductive(body)
-        raise ServingError('request must contain "nodes" or "features"')
-
-    def _predict_nodes(self, body: dict) -> dict:
-        nodes = body["nodes"]
-        if isinstance(nodes, int):
-            nodes = [nodes]
-        timeout = self.request_timeout_s
-        if self.frontend is not None:
-            logits = self.frontend.predict_nodes(nodes, timeout=timeout)
-        elif self.batcher is not None:
-            logits = self.batcher.predict(nodes, timeout=timeout)
+    def handle_predict(self, body: object) -> dict:
+        payload = _parse_predict(body)
+        inductive = isinstance(payload, InductiveQuery)
+        if inductive:
+            self.metrics.inc("inductive_requests_total")
+        logits = self.batcher.submit(payload).result(timeout=self.request_timeout_s)
+        if inductive:
+            response = {"label": int(np.argmax(logits))}
+            if body.get("return_probs"):
+                response["probs"] = softmax_rows(logits[None, :])[0].tolist()
         else:
-            self.metrics.inc("requests_total")
-            logits = self._compute.submit(self.engine.predict_nodes, nodes).result(
-                timeout=timeout
-            )
-        response = {
-            "nodes": [int(n) for n in nodes],
-            "labels": logits.argmax(axis=1).tolist(),
-        }
-        if body.get("return_probs"):
-            response["probs"] = softmax_rows(logits).tolist()
-        if body.get("return_logits"):
-            response["logits"] = logits.tolist()
-        return response
-
-    def _predict_inductive(self, body: dict) -> dict:
-        self.metrics.inc("inductive_requests_total")
-        neighbors = body.get("neighbors")
-        if neighbors is None:
-            raise ServingError('inductive requests need "neighbors" (known node ids)')
-        timeout = self.request_timeout_s
-        if self.frontend is not None:
-            # The frontend's submit() counts requests_total itself.
-            logits = self.frontend.predict_inductive(
-                body["features"], neighbors, timeout=timeout
-            )
-        else:
-            self.metrics.inc("requests_total")
-            logits = self._compute.submit(
-                self.engine.predict_inductive, body["features"], neighbors
-            ).result(timeout=timeout)
-        response = {"label": int(np.argmax(logits))}
-        if body.get("return_probs"):
-            response["probs"] = softmax_rows(logits[None, :])[0].tolist()
+            response = {"nodes": payload, "labels": logits.argmax(axis=1).tolist()}
+            if body.get("return_probs"):
+                response["probs"] = softmax_rows(logits).tolist()
         if body.get("return_logits"):
             response["logits"] = logits.tolist()
         return response
@@ -262,12 +237,7 @@ class PredictionServer:
 
     def health(self) -> dict:
         backend = self.frontend if self.frontend is not None else self.engine
-        info = {
-            "status": "ok",
-            "model": backend.model_kind,
-            "nodes": backend.num_nodes,
-            "batching": self.batcher is not None,
-        }
+        info = {"status": "ok", "model": backend.model_kind, "nodes": backend.num_nodes}
         if self.frontend is not None:
             info["replicas"] = self.frontend.replicas
             info["artifact_version"] = self.frontend.artifact_version
@@ -368,6 +338,7 @@ def _make_handler(server: PredictionServer):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"")
             except (ValueError, json.JSONDecodeError) as error:
+                server.metrics.inc("http_client_errors_total")
                 self._send_json(400, {"error": f"invalid JSON body: {error}"})
                 return
             try:
@@ -380,13 +351,15 @@ def _make_handler(server: PredictionServer):
                     {"error": str(error)},
                     headers={"Retry-After": str(max(1, math.ceil(error.retry_after_s)))},
                 )
-            except TimeoutError:
+            except (TimeoutError, FutureTimeoutError):
                 # The deadline passed (wedged worker, overlong queue
-                # wait).  The handler thread is released; the stale
+                # wait).  Future.result raises concurrent.futures'
+                # TimeoutError, which is the builtin only from Python
+                # 3.11 on.  The handler thread is released; the stale
                 # result, if it ever lands, is discarded with its future.
                 server.metrics.inc("http_timeouts_total")
                 self._send_json(503, {"error": "timed out"})
-            except (ServingError, KeyError, TypeError) as error:
+            except ServingError as error:
                 server.metrics.inc("http_client_errors_total")
                 self._send_json(400, {"error": str(error)})
             except ReproError as error:

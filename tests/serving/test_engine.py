@@ -10,7 +10,7 @@ import pytest
 
 from repro.models.base import softmax_rows
 from repro.serving.artifacts import ArtifactError, load_artifact
-from repro.serving.engine import PredictionEngine, ServingError
+from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 
 
 class TestTransductive:
@@ -47,7 +47,9 @@ class TestTransductive:
         assert engine.num_classes == tiny_graph.num_classes
 
     @pytest.mark.parametrize(
-        "nodes", [[], [-1], [10**6], [[0, 1]]], ids=["empty", "negative", "too-big", "2d"]
+        "nodes",
+        [[], [-1], [10**6], [[0, 1]], [2**63]],
+        ids=["empty", "negative", "too-big", "2d", "int64-overflow"],
     )
     def test_bad_node_requests_rejected(self, engine, nodes):
         with pytest.raises(ServingError):
@@ -56,6 +58,40 @@ class TestTransductive:
     def test_one_bad_request_fails_before_the_batch_runs(self, engine):
         with pytest.raises(ServingError):
             engine.predict_many([[0, 1], [10**6]])
+
+
+class TestAnswerBatch:
+    def test_mixed_batch_answers_in_order(self, engine, tiny_graph):
+        features = np.asarray(tiny_graph.features[4]).ravel().tolist()
+        payloads = [[0, 1], InductiveQuery(features, [4, 9]), [59], InductiveQuery(features, [2])]
+        results = engine.answer_batch(payloads)
+        assert len(results) == 4
+        assert np.array_equal(results[0], engine.predict_nodes([0, 1]))
+        assert np.array_equal(results[1], engine.predict_inductive(features, [4, 9]))
+        assert np.array_equal(results[2], engine.predict_nodes([59]))
+        assert np.array_equal(results[3], engine.predict_inductive(features, [2]))
+
+    def test_node_lists_share_one_predict_many_call_unchanged(
+        self, gcn_artifact_path, tiny_graph, monkeypatch
+    ):
+        # Per-batch tracing keys on the submitted list objects, so the
+        # one predict_many call must receive them as they were submitted.
+        engine = PredictionEngine(gcn_artifact_path, tiny_graph)
+        calls = []
+        original = engine.predict_many
+
+        def spy(requests):
+            calls.append(list(requests))
+            return original(requests)
+
+        monkeypatch.setattr(engine, "predict_many", spy)
+        first, second = [3, 4], [5]
+        features = np.asarray(tiny_graph.features[4]).ravel().tolist()
+        engine.answer_batch([first, InductiveQuery(features, [1]), second])
+        assert len(calls) == 1
+        assert calls[0][0] is first and calls[0][1] is second
+        engine.answer_batch([InductiveQuery(features, [1])])
+        assert len(calls) == 1  # no node lists: no table call
 
 
 class TestEnsembleServing:
@@ -135,6 +171,8 @@ class TestInductive:
         features = np.ones(tiny_graph.num_features, dtype=float)
         with pytest.raises(ServingError):
             engine.predict_inductive(features, [10**6])
+        with pytest.raises(ServingError):
+            engine.predict_inductive(features, [2**63])  # beyond int64
 
 
 class TestConstruction:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.serving.artifacts import ModelSpec, export_model_artifact
 from repro.serving.batching import BatcherClosed, Overloaded
-from repro.serving.engine import PredictionEngine, ServingError
+from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 from repro.serving.frontend import ReplicaFrontend
 from repro.serving.metrics import ServingMetrics, merge_counter_snapshots
 from repro.serving.replica import SharedLogitsTable
@@ -112,7 +112,7 @@ class TestParity:
     @relaxed
     @given(stream=request_stream)
     def test_fanout_is_bitwise_equal_to_single_process(self, frontend, engine, stream):
-        futures = [frontend.submit(("nodes", nodes)) for nodes in stream]
+        futures = [frontend.submit(nodes) for nodes in stream]
         for nodes, future in zip(stream, futures):
             assert np.array_equal(future.result(timeout=30), engine.predict_nodes(nodes))
 
@@ -120,7 +120,7 @@ class TestParity:
         features = np.asarray(tiny_graph.features[7]).ravel()
         for neighbors in ([3, 4], [0, 1, 2], [50]):
             assert np.array_equal(
-                frontend.predict_inductive(features, neighbors, timeout=30),
+                frontend.predict(InductiveQuery(features, neighbors), timeout=30),
                 engine.predict_inductive(features, neighbors),
             )
 
@@ -135,9 +135,7 @@ class TestParity:
 
         def client(index):
             for nodes, reference in zip(streams[index], expected[index]):
-                if not np.array_equal(
-                    frontend.predict_nodes(nodes, timeout=30), reference
-                ):
+                if not np.array_equal(frontend.predict(nodes, timeout=30), reference):
                     mismatches.append(index)
 
         threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
@@ -180,13 +178,13 @@ class TestAdmission:
             max_batch_size=1, max_wait_s=0.0, metrics=metrics,
         ) as frontend:
             with inject(plan):
-                first = frontend.submit(("nodes", [0]))
+                first = frontend.submit([0])
                 assert entered.wait(timeout=10), "dispatcher never reached the wedge"
-                accepted = [frontend.submit(("nodes", [i + 1])) for i in range(2)]
+                accepted = [frontend.submit([i + 1]) for i in range(2)]
                 shed = 0
                 for i in range(8):
                     try:
-                        accepted.append(frontend.submit(("nodes", [i + 10])))
+                        accepted.append(frontend.submit([i + 10]))
                     except Overloaded as error:
                         shed += 1
                         assert error.retry_after_s > 0
@@ -205,7 +203,7 @@ class TestAdmission:
         frontend = ReplicaFrontend(gcn_artifact_path, tiny_graph, replicas=1)
         frontend.close()
         with pytest.raises(BatcherClosed):
-            frontend.submit(("nodes", [0]))
+            frontend.submit([0])
         frontend.close()  # idempotent
 
     def test_streaming_engines_are_rejected(self, gcn_artifact_path, tiny_graph):
@@ -216,7 +214,9 @@ class TestAdmission:
             )
 
     @pytest.mark.parametrize(
-        "kwargs", [{"replicas": 0}, {"max_queue": 0}], ids=["replicas", "queue"]
+        "kwargs",
+        [{"replicas": 0}, {"max_queue": 0}, {"max_batch_size": 0}, {"max_wait_s": -1.0}],
+        ids=["replicas", "queue", "batch-size", "wait"],
     )
     def test_invalid_knobs_rejected(self, gcn_artifact_path, tiny_graph, kwargs):
         with pytest.raises(ReproError):
@@ -241,7 +241,7 @@ class TestSelfHealing:
             # The next request finds the corpse, re-forks, and retries —
             # the caller sees only a correct answer.
             assert np.array_equal(
-                frontend.predict_nodes([1, 2], timeout=60), engine.predict_nodes([1, 2])
+                frontend.predict([1, 2], timeout=60), engine.predict_nodes([1, 2])
             )
             assert frontend._replicas[0].process.pid != victim.pid
         assert metrics.counter("replica_restarts_total") >= 1
@@ -262,7 +262,7 @@ class TestSelfHealing:
             os.kill(wedged_pid, signal.SIGSTOP)
             try:
                 assert np.array_equal(
-                    frontend.predict_nodes([5], timeout=60), engine.predict_nodes([5])
+                    frontend.predict([5], timeout=60), engine.predict_nodes([5])
                 )
                 assert frontend._replicas[0].process.pid != wedged_pid
             finally:
@@ -299,7 +299,7 @@ class TestRollingReload:
                     # never an error, and never a torn mixture of the
                     # two tables.
                     try:
-                        logits = frontend.predict_nodes(probe, timeout=30)
+                        logits = frontend.predict(probe, timeout=30)
                     except Exception as error:  # noqa: BLE001 - asserted below
                         bad.append(error)
                         return
@@ -320,7 +320,7 @@ class TestRollingReload:
             assert served[0] > 0 and not bad
             # Post-swap the whole tier answers from v2, repeatedly.
             for _ in range(8):
-                assert np.array_equal(frontend.predict_nodes(probe, timeout=30), v2_answer)
+                assert np.array_equal(frontend.predict(probe, timeout=30), v2_answer)
             assert all(info["artifact_version"] == 1 for info in frontend.ping())
             assert frontend.metrics.counter("reloads_total") == 1
 
@@ -334,7 +334,7 @@ class TestRollingReload:
                 frontend.reload(tmp_path / "missing.rddart")
             assert frontend.artifact_version == 0
             assert np.array_equal(
-                frontend.predict_nodes([2, 3], timeout=30), engine.predict_nodes([2, 3])
+                frontend.predict([2, 3], timeout=30), engine.predict_nodes([2, 3])
             )
 
 
@@ -369,7 +369,7 @@ class TestHTTPFrontend:
             status, health, _ = _call(f"{server.url}/healthz")
             assert status == 200
             assert health["replicas"] == 2 and health["artifact_version"] == 0
-            assert health["model"] == "gcn" and health["batching"] is False
+            assert health["model"] == "gcn"
 
             nodes = [0, 17, 59]
             status, payload, _ = _call(f"{server.url}/predict", {"nodes": nodes})
@@ -423,10 +423,11 @@ class TestHTTPFrontend:
                 assert entered.wait(timeout=10)
                 queued = threading.Thread(target=post)
                 queued.start()
+                # The queued request is admitted once requests_total counts it.
                 deadline = time.monotonic() + 10
-                while not frontend._admission.full() and time.monotonic() < deadline:
+                while frontend.metrics.counter("requests_total") < 2:
+                    assert time.monotonic() < deadline, "second request never admitted"
                     time.sleep(0.005)
-                assert frontend._admission.full()
 
                 status, payload, headers = _call(f"{server.url}/predict", {"nodes": [1]})
                 assert status == 429

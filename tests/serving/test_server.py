@@ -6,7 +6,10 @@ and the CI smoke use.  The overload/timeout/disconnect classes pin the
 bugfix contract: saturation answers 429 + ``Retry-After`` instead of
 queueing without bound, a wedged worker answers 503 instead of hanging
 the handler thread forever, and a client dropping mid-response is
-counted — never a traceback, never a dead server.
+counted — never a traceback, never a dead server.  The error and
+overload classes run against both serving modes (engine-backed and
+replica-backed), and a parity test replays one request stream through
+both under the same fault plan.
 """
 
 import http.client
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.serving.engine import PredictionEngine
+from repro.serving.frontend import ReplicaFrontend
 from repro.serving.server import PredictionServer
 from repro.testing.faults import FaultPlan, inject
 
@@ -43,22 +47,57 @@ def _call(url: str, body=None, timeout: float = 10.0):
         return error.code, json.loads(error.read())
 
 
+def _post_raw(url: str, body: dict, timeout: float = 15.0):
+    """(status, raw response bytes, headers) for a JSON POST."""
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode("utf-8"), headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read(), response.headers
+    except urllib.error.HTTPError as error:
+        return error.code, error.read(), error.headers
+
+
+def _replica_server(gcn_artifact_path, tiny_graph, request_timeout_s=30.0, **knobs):
+    """A started server over a 1-replica tier of the session artifact."""
+    frontend = ReplicaFrontend(gcn_artifact_path, tiny_graph, replicas=1, **knobs)
+    return PredictionServer(
+        frontend=frontend, port=0, request_timeout_s=request_timeout_s
+    ).start()
+
+
+@pytest.fixture
+def serve(request, engine, gcn_artifact_path, tiny_graph):
+    """Start a server in the test class's ``mode``: the engine behind the
+    server's micro-batcher, or a 1-replica tier — with the same core knobs."""
+
+    def start(request_timeout_s: float = 30.0, **knobs) -> PredictionServer:
+        if request.cls.mode == "replica":
+            return _replica_server(gcn_artifact_path, tiny_graph, request_timeout_s, **knobs)
+        return PredictionServer(
+            engine, port=0, request_timeout_s=request_timeout_s, **knobs
+        ).start()
+
+    return start
+
+
 @pytest.fixture(scope="module")
 def server(engine):
     with PredictionServer(engine, port=0, max_wait_s=0.001).start() as running:
         yield running
 
 
+def _inductive_body(tiny_graph, neighbors=(4, 9)) -> dict:
+    features = np.asarray(tiny_graph.features[4]).ravel()
+    return {"features": features.tolist(), "neighbors": list(neighbors)}
+
+
 class TestRoutes:
     def test_healthz_reports_identity(self, server, engine):
         status, payload = _call(f"{server.url}/healthz")
         assert status == 200
-        assert payload == {
-            "status": "ok",
-            "model": "gcn",
-            "nodes": engine.num_nodes,
-            "batching": True,
-        }
+        assert payload == {"status": "ok", "model": "gcn", "nodes": engine.num_nodes}
 
     def test_predict_nodes_matches_engine(self, server, engine):
         nodes = [0, 17, 59]
@@ -99,6 +138,9 @@ class TestRoutes:
 
 
 class TestErrors:
+    """Runs against the module's engine-backed server;
+    ``TestErrorsOverReplicas`` reruns it against a replica-backed one."""
+
     def test_unknown_paths_404(self, server):
         assert _call(f"{server.url}/nope")[0] == 404
         assert _call(f"{server.url}/nope", {"x": 1})[0] == 404
@@ -122,8 +164,26 @@ class TestErrors:
             {"nodes": []},
             {"features": [1.0, 2.0]},
             {"features": [1.0, 2.0], "neighbors": [0]},
+            {"nodes": ["x"]},
+            {"nodes": [1.7]},
+            {"nodes": [True]},
+            {"nodes": True},
+            {"nodes": "3"},
+            {"nodes": {"a": 1}},
+            {"features": ["x", 1.0], "neighbors": [0]},
+            {"features": [True, 1.0], "neighbors": [0]},
+            {"features": "1.0", "neighbors": [0]},
+            {"features": [1.0, 2.0], "neighbors": [0.5]},
+            [1, 2],
+            {"nodes": [2**63]},
+            {"features": [10**400], "neighbors": [0]},
         ],
-        ids=["no-route", "unknown-id", "empty", "no-neighbors", "bad-features"],
+        ids=[
+            "no-route", "unknown-id", "empty", "no-neighbors", "bad-features",
+            "string-id", "float-id", "bool-id", "bool-scalar", "string-scalar", "object-ids",
+            "string-feature", "bool-feature", "string-features", "float-neighbor", "not-object",
+            "int64-overflow-id", "float-overflow-feature",
+        ],
     )
     def test_client_errors_400_with_json_error(self, server, body):
         status, payload = _call(f"{server.url}/predict", body)
@@ -133,8 +193,16 @@ class TestErrors:
     def test_client_errors_counted(self, server):
         before = _call(f"{server.url}/metrics")[1]["counters"].get("http_client_errors_total", 0)
         _call(f"{server.url}/predict", {"nodes": [10**6]})
+        _call(f"{server.url}/predict", {"nodes": [1.7]})
         after = _call(f"{server.url}/metrics")[1]["counters"]["http_client_errors_total"]
-        assert after == before + 1
+        assert after == before + 2
+
+
+class TestErrorsOverReplicas(TestErrors):
+    @pytest.fixture(scope="class")
+    def server(self, gcn_artifact_path, tiny_graph):
+        with _replica_server(gcn_artifact_path, tiny_graph, max_wait_s=0.001) as running:
+            yield running
 
 
 class TestFaultSurvival:
@@ -171,14 +239,18 @@ def _wedge():
 
 
 class TestOverload:
-    def test_full_queue_answers_429_with_retry_after(self, engine):
+    """Runs with the engine behind the server's micro-batcher;
+    ``TestOverloadOverReplicas`` reruns every test on a 1-replica tier."""
+
+    mode = "engine"
+
+    def test_full_queue_answers_429_with_retry_after(self, serve, tiny_graph):
         # Regression: a saturated server used to queue without bound —
         # every request eventually answered, minutes late.  Now the
-        # bounded admission queue sheds the excess immediately.
+        # bounded admission queue sheds the excess immediately, whatever
+        # the request kind: inductive requests once skipped admission.
         plan, entered, release = _wedge()
-        with PredictionServer(
-            engine, port=0, max_batch_size=1, max_wait_s=0.0, max_queue=1
-        ).start() as server:
+        with serve(max_batch_size=1, max_wait_s=0.0, max_queue=1) as server:
             statuses = []
 
             def post(nodes):
@@ -190,21 +262,20 @@ class TestOverload:
                 assert entered.wait(timeout=10), "worker never reached the wedge"
                 queued = threading.Thread(target=post, args=([1],))
                 queued.start()
+                # The queued request is admitted once requests_total counts it.
                 deadline = time.monotonic() + 10
-                while not server.batcher._queue.full() and time.monotonic() < deadline:
+                while time.monotonic() < deadline:
+                    counters = _call(f"{server.url}/metrics")[1]["counters"]
+                    if counters.get("requests_total", 0) >= 2:
+                        break
                     time.sleep(0.005)
-                assert server.batcher._queue.full()
+                assert counters.get("requests_total", 0) >= 2
 
-                request = urllib.request.Request(
-                    f"{server.url}/predict",
-                    data=json.dumps({"nodes": [2]}).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                )
-                with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    urllib.request.urlopen(request, timeout=10)
-                assert excinfo.value.code == 429
-                assert int(excinfo.value.headers["Retry-After"]) >= 1
-                assert "full" in json.loads(excinfo.value.read())["error"]
+                for body in ({"nodes": [2]}, _inductive_body(tiny_graph)):
+                    status, raw, headers = _post_raw(f"{server.url}/predict", body)
+                    assert status == 429, body
+                    assert int(headers["Retry-After"]) >= 1
+                    assert "full" in json.loads(raw)["error"]
 
                 release.set()
                 wedged.join(timeout=30)
@@ -212,17 +283,15 @@ class TestOverload:
             # The in-flight and queued requests were not casualties.
             assert statuses == [200, 200]
             counters = _call(f"{server.url}/metrics")[1]["counters"]
-            assert counters["http_429"] >= 1
-            assert counters["shed_total"] >= 1
+            assert counters["http_429"] == 2
+            assert counters["shed_total"] == 2
 
-    def test_wedged_worker_answers_503_not_a_hung_request(self, engine):
+    def test_wedged_worker_answers_503_not_a_hung_request(self, serve, engine):
         # Regression: a request whose worker never answered used to hang
         # its handler thread (and the client) forever.  The deadline now
         # frees both with a clean 503.
         plan, entered, release = _wedge()
-        with PredictionServer(
-            engine, port=0, max_batch_size=1, max_wait_s=0.0, request_timeout_s=0.3
-        ).start() as server:
+        with serve(max_batch_size=1, max_wait_s=0.0, request_timeout_s=0.3) as server:
             try:
                 with inject(plan):
                     started = time.monotonic()
@@ -242,29 +311,30 @@ class TestOverload:
             counters = _call(f"{server.url}/metrics")[1]["counters"]
             assert counters["http_timeouts_total"] >= 1
 
-    def test_timeout_applies_without_batching_too(self, engine):
-        # Batching off routes handler threads to the compute pool; the
-        # deadline must hold there as well.  No fault point sits on the
-        # direct path, so wedge the engine itself.
-        release = threading.Event()
-
-        class SlowEngine:
-            def __getattr__(self, name):
-                return getattr(engine, name)
-
-            def predict_nodes(self, nodes):
-                release.wait(timeout=30)
-                return engine.predict_nodes(nodes)
-
-        with PredictionServer(
-            SlowEngine(), port=0, batching=False, request_timeout_s=0.3
-        ).start() as server:
+    def test_wedged_inductive_request_answers_503(self, serve, engine, tiny_graph):
+        # Inductive requests go through the same core as transductive
+        # ones, so the same wedge at serving:request must trip their
+        # deadline too.
+        plan, entered, release = _wedge()
+        body = _inductive_body(tiny_graph)
+        with serve(max_batch_size=1, max_wait_s=0.0, request_timeout_s=0.3) as server:
             try:
-                status, payload = _call(f"{server.url}/predict", {"nodes": [0]})
-                assert (status, payload) == (503, {"error": "timed out"})
+                with inject(plan):
+                    status, payload = _call(f"{server.url}/predict", body)
+                    assert (status, payload) == (503, {"error": "timed out"})
             finally:
                 release.set()
-            assert _call(f"{server.url}/predict", {"nodes": [1]})[0] == 200
+            assert entered.is_set()
+            status, payload = _call(f"{server.url}/predict", body)
+            assert status == 200
+            expected = engine.predict_inductive(body["features"], body["neighbors"])
+            assert payload["label"] == int(np.argmax(expected))
+            counters = _call(f"{server.url}/metrics")[1]["counters"]
+            assert counters["http_timeouts_total"] == 1
+
+
+class TestOverloadOverReplicas(TestOverload):
+    mode = "replica"
 
 
 class TestClientDisconnect:
@@ -362,13 +432,41 @@ class TestEnsembleServer:
             assert payload["label"] == int(np.argmax(expected))
 
 
-class TestUnbatchedMode:
-    def test_batching_off_still_serves_and_counts(self, engine):
-        with PredictionServer(engine, port=0, batching=False).start() as server:
-            assert server.batcher is None
-            status, health = _call(f"{server.url}/healthz")
-            assert status == 200 and health["batching"] is False
-            status, payload = _call(f"{server.url}/predict", {"nodes": [3]})
-            assert status == 200
-            assert payload["labels"] == engine.predict_nodes([3]).argmax(axis=1).tolist()
-            assert _call(f"{server.url}/metrics")[1]["counters"]["requests_total"] >= 1
+class TestModeParity:
+    def test_engine_and_replica_servers_answer_bitwise_alike(
+        self, engine, gcn_artifact_path, tiny_graph
+    ):
+        # One request stream — transductive, inductive and malformed —
+        # through an engine-backed and a 1-replica server under the same
+        # keyed serving:request fault plan: identical status codes and
+        # byte-identical JSON bodies.  Requests go one at a time, so both
+        # servers assign the same arrival keys.
+        rng = np.random.default_rng(17)
+        options = {"return_probs": True, "return_logits": True}
+        stream = []
+        for index in range(24):
+            if index % 3 == 1:
+                neighbors = rng.choice(engine.num_nodes, 2, replace=False).tolist()
+                stream.append({**_inductive_body(tiny_graph, neighbors), **options})
+            else:
+                stream.append({"nodes": rng.integers(0, engine.num_nodes, size=3).tolist(), **options})
+        stream[5:5] = [{"nodes": [10**6]}, {"nodes": [1.7]}, {"features": [1.0], "neighbors": [0]}]
+        stream[14:14] = [{"nodes": "3"}, {"features": ["x"], "neighbors": [1]}, {"nodes": []}]
+
+        def replay(server):
+            plan = FaultPlan().fail("serving:request", key=4).fail("serving:request", key=11)
+            with inject(plan):
+                answers = [_post_raw(f"{server.url}/predict", body)[:2] for body in stream]
+            assert plan.fired("serving:request") == 2
+            return answers
+
+        with PredictionServer(engine, port=0, max_wait_s=0.0).start() as server:
+            single = replay(server)
+        with _replica_server(gcn_artifact_path, tiny_graph, max_wait_s=0.0) as server:
+            replicated = replay(server)
+
+        statuses = [status for status, _ in single]
+        assert statuses.count(500) == 2 and statuses.count(400) == 6
+        assert statuses.count(200) == len(stream) - 8
+        for (status, body), (other_status, other_body) in zip(single, replicated):
+            assert (status, body) == (other_status, other_body)
