@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-wait-ms", type=float, default=2.0,
-        help="how long the batcher holds a request while coalescing (milliseconds)",
+        help="longest the batcher holds a request while coalescing (milliseconds); "
+             "within it, a batch waits as long as the previous batch took to run",
     )
     serve.add_argument(
         "--replicas", type=int, default=0, metavar="N",

@@ -5,10 +5,11 @@ concurrent prediction requests answered independently cost ten forwards
 of which nine are pure waste.  :class:`BatchingCore` turns that waste
 into throughput, and it is the one queue both serving modes run on:
 requests land on a bounded queue, a dispatcher thread drains up to
-``max_batch_size`` of them (waiting at most ``max_wait_s`` for
-stragglers once the first request of a batch arrives), and hands the
-whole batch to its **executor** — the callable that answers a batch.
-There is one dispatcher per executor:
+``max_batch_size`` of them (once the first request of a batch arrives,
+waiting for stragglers as long as its previous batch took to run, at
+most ``max_wait_s``), and hands the whole batch to its **executor** —
+the callable that answers a batch.  There is one dispatcher per
+executor:
 
 * :class:`MicroBatcher` runs ``batch_fn`` in-thread (for the prediction
   engine, :meth:`~repro.serving.engine.PredictionEngine.answer_batch`,
@@ -119,9 +120,13 @@ class BatchingCore:
     max_batch_size:
         Largest batch handed to an executor.
     max_wait_s:
-        How long a dispatcher holds the first request of a batch while
-        waiting for more to coalesce.  Bounds the latency cost of
-        batching; 0 batches only what is already queued.
+        Cap on how long a dispatcher holds the first request of a batch
+        while waiting for more to coalesce.  Within the cap the hold is
+        as long as the dispatcher's previous batch took to run (0 before
+        its first): a request arriving later would find the executor
+        idle anyway.  So compute-bound batches coalesce for the whole
+        cap while a cheap lookup barely waits; 0 batches only what is
+        already queued.
     max_queue:
         Admission bound: requests queued (not yet picked up by a
         dispatcher) beyond this are shed with :class:`Overloaded`
@@ -287,8 +292,9 @@ class BatchingCore:
     # ------------------------------------------------------------------
     # Dispatcher side
     # ------------------------------------------------------------------
-    def _collect(self, first: _Pending) -> Tuple[List[_Pending], bool]:
-        """Coalesce queued requests behind ``first`` until size or deadline.
+    def _collect(self, first: _Pending, window_s: float) -> Tuple[List[_Pending], bool]:
+        """Coalesce queued requests behind ``first`` until size or
+        ``window_s`` has passed.
 
         Returns ``(batch, shutdown)``; a sentinel drained mid-batch is
         consumed by *this* dispatcher (it runs the batch, then exits)
@@ -297,7 +303,7 @@ class BatchingCore:
         draining.
         """
         batch = [first]
-        deadline = time.monotonic() + self.max_wait_s
+        deadline = time.monotonic() + window_s
         while len(batch) < self.max_batch_size:
             remaining = deadline - time.monotonic()
             try:
@@ -310,12 +316,18 @@ class BatchingCore:
         return batch, False
 
     def _dispatch(self, execute: Executor) -> None:
+        # The collect window is this dispatcher's previous batch time,
+        # capped by max_wait_s: holding a batch open longer than the
+        # executor needs only delays the requests already collected.
+        window_s = 0.0
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
-            batch, shutdown = self._collect(item)
+            batch, shutdown = self._collect(item, window_s)
+            started = time.monotonic()
             self._run_batch(execute, batch)
+            window_s = min(time.monotonic() - started, self.max_wait_s)
             if shutdown:
                 return
 
@@ -365,7 +377,9 @@ class MicroBatcher(BatchingCore):
         One maximizes coalescing; more help when ``batch_fn`` releases
         the GIL.
     max_batch_size / max_wait_s / max_queue / metrics:
-        The core's knobs (see :class:`BatchingCore`).
+        The core's knobs (see :class:`BatchingCore`).  ``max_wait_s``
+        caps each worker's collect window, which otherwise lasts as long
+        as that worker's previous ``batch_fn`` call.
     """
 
     def __init__(

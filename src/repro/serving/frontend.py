@@ -89,7 +89,9 @@ class ReplicaFrontend(BatchingCore):
     max_queue / max_batch_size / max_wait_s / metrics:
         The core's knobs (see
         :class:`~repro.serving.batching.BatchingCore`); ``max_queue`` is
-        the admission bound across the whole tier.
+        the admission bound across the whole tier, and ``max_wait_s``
+        caps each replica's collect window, which otherwise lasts as
+        long as that replica's previous round trip.
     reply_timeout_s:
         How long an executor waits for its replica's answer before
         declaring it wedged and re-forking it.

@@ -9,7 +9,8 @@ validated here once and then goes through the core as
 ``submit(payload).result(timeout)``, so admission control, deadlines,
 fault injection and metrics behave the same either way.  The API is
 JSON over ``http.server.ThreadingHTTPServer`` with keep-alive
-(HTTP/1.1; every response carries ``Content-Length``) and these routes:
+(HTTP/1.1; every response carries ``Content-Length`` and reaches the
+socket in one write, with ``TCP_NODELAY`` set) and these routes:
 
 ``POST /predict``
     ``{"nodes": [0, 5, 9]}`` → transductive logits/labels for known
@@ -36,6 +37,8 @@ Failure modes are typed, bounded, and observable:
 * a request exceeding ``request_timeout_s`` (e.g. a wedged worker) →
   503 ``{"error": "timed out"}`` and the handler thread is released —
   no request can hang a thread forever;
+* a ``Content-Length`` that is negative or not an integer → 400, and
+  the connection is closed (the body's end is unknown);
 * a client that disconnects mid-write is counted
   (``http_disconnects_total``) and the thread stays clean, never a
   traceback;
@@ -260,38 +263,61 @@ def _make_handler(server: PredictionServer):
         # Keep-alive: one TCP connection serves many requests.  Safe
         # because every response sets Content-Length explicitly.
         protocol_version = "HTTP/1.1"
+        # One write per response.  Sent apart, the body is a small
+        # segment behind the headers, which Nagle's algorithm holds until
+        # the client's delayed ACK of the headers: about 40 ms whenever
+        # a keep-alive request follows its previous reply that closely.
+        # A buffered wfile, flushed once per response, sends both
+        # together; TCP_NODELAY (the stdlib pairs it with full buffering)
+        # keeps a response larger than the buffer from being held too.
+        wbufsize = -1
+        disable_nagle_algorithm = True
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass  # request logging would swamp test output; metrics cover it
 
         # -- client-disconnect containment -----------------------------
         def handle_one_request(self) -> None:
-            # Loadgen clients time out and close mid-response; the write
-            # (or the keep-alive flush) then raises.  That is the
-            # client's failure, not ours: count it, drop the connection,
-            # keep the handler thread clean.
+            # Loadgen clients time out and close mid-response; the flush
+            # then raises out of the route.  That is the client's
+            # failure, not ours: count it, drop the connection, keep the
+            # handler thread clean.
             try:
                 super().handle_one_request()
             except (BrokenPipeError, ConnectionResetError):
                 server.metrics.inc("http_disconnects_total")
                 self.close_connection = True
 
+        def finish(self) -> None:
+            # A failed flush keeps the response in the buffer, so closing
+            # the wfile fails again on the same dead socket (counted
+            # once, above); close the rfile that super() then skipped.
+            try:
+                super().finish()
+            except (BrokenPipeError, ConnectionResetError):
+                self.rfile.close()
+
+        def handle_expect_100(self) -> bool:
+            # The client holds the body until it sees the interim 100:
+            # send it now rather than with the response.
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
+
         # -- helpers ---------------------------------------------------
         def _send_blob(
             self, status: int, blob: bytes, content_type: str, headers: Optional[dict]
         ) -> None:
-            try:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(blob)))
-                for name, value in (headers or {}).items():
-                    self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(blob)
-            except (BrokenPipeError, ConnectionResetError):
-                server.metrics.inc("http_disconnects_total")
-                self.close_connection = True
-                return
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(blob)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(blob)
+            # A dropped connection raises here, so it is never counted
+            # as served.
+            self.wfile.flush()
             server.metrics.inc(f"http_{status}")
 
         def _send_json(
@@ -336,6 +362,18 @@ def _make_handler(server: PredictionServer):
                 return
             try:
                 length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                # rfile.read(-1) would read until the client hangs up.
+                # Without a length the body cannot be skipped either, so
+                # the connection carries no further request.
+                server.metrics.inc("http_client_errors_total")
+                self._send_json(
+                    400, {"error": "invalid Content-Length"}, headers={"Connection": "close"}
+                )
+                return
+            try:
                 body = json.loads(self.rfile.read(length) or b"")
             except (ValueError, json.JSONDecodeError) as error:
                 server.metrics.inc("http_client_errors_total")

@@ -4,13 +4,16 @@ Hypothesis property tests that batching preserves per-request ordering
 and returns results bitwise-equal to unbatched single-request inference;
 a multi-threaded smoke test with concurrent clients; proof that an
 injected ``serving:request`` fault errors only its own future while the
-batching loop survives.  The admission and shutdown-race classes are
-written against :class:`~repro.serving.batching.BatchingCore` and run
-over both executors: the in-thread micro-batcher and the replica tier.
+batching loop survives.  The admission, batch-window and shutdown-race
+classes are written against :class:`~repro.serving.batching.BatchingCore`
+and run over both executors: the in-thread micro-batcher and the replica
+tier.
 """
 
+import contextlib
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -141,7 +144,8 @@ class TestFaultIsolation:
         # the batcher isolates by re-running each request alone, so only
         # the bad payload's future errors.
         with MicroBatcher(engine.predict_many, max_batch_size=8, max_wait_s=0.05) as batcher:
-            futures = [batcher.submit(payload) for payload in ([0, 1], [10**6], [2])]
+            with _queued_together(batcher):
+                futures = [batcher.submit(payload) for payload in ([0, 1], [10**6], [2])]
             with pytest.raises(ServingError):
                 futures[1].result(timeout=10)
             assert np.array_equal(futures[0].result(timeout=10), engine.predict_nodes([0, 1]))
@@ -154,7 +158,8 @@ class TestFaultIsolation:
         features = np.asarray(tiny_graph.features[4]).ravel().tolist()
         payloads = ([0, 1], InductiveQuery(features[:3], [4]), InductiveQuery(features, [4, 9]))
         with MicroBatcher(engine.answer_batch, max_batch_size=8, max_wait_s=0.05) as batcher:
-            futures = [batcher.submit(payload) for payload in payloads]
+            with _queued_together(batcher):
+                futures = [batcher.submit(payload) for payload in payloads]
             with pytest.raises(ServingError):
                 futures[1].result(timeout=10)
             assert np.array_equal(futures[0].result(timeout=10), engine.predict_nodes([0, 1]))
@@ -209,6 +214,22 @@ def _wedge():
         release.wait(timeout=30)
 
     return FaultPlan().fail("serving:request", at=0, action=block), entered, release
+
+
+@contextlib.contextmanager
+def _queued_together(core):
+    """Park the dispatcher on a warm-up request while the block runs, so
+    the requests it submits queue up and leave as one batch (a
+    dispatcher's first batch does not wait for stragglers)."""
+    plan, entered, release = _wedge()
+    with inject(plan):
+        warm_up = core.submit([0])
+        assert entered.wait(timeout=10), "dispatcher never reached the wedge"
+        try:
+            yield
+        finally:
+            release.set()
+        warm_up.result(timeout=30)
 
 
 def _resolves(future, engine, nodes, closing_ok: bool) -> None:
@@ -280,6 +301,77 @@ class TestAdmission:
 
 class TestAdmissionOverReplicas(TestAdmission):
     executor = "replica"
+
+
+# ----------------------------------------------------------------------
+# The collect window
+# ----------------------------------------------------------------------
+class TestBatchWindow:
+    """A dispatcher holds a batch open for as long as its previous batch
+    took to run, capped by ``max_wait_s``; every test runs once per
+    executor (``TestBatchWindowOverReplicas`` reruns it over replicas)."""
+
+    executor = "engine"
+
+    def test_lone_requests_do_not_wait_out_the_cap(self, make_core, engine):
+        # Regression: every batch was held open for the full max_wait_s,
+        # so each lone request idled that long before a lookup that
+        # takes well under a millisecond.
+        core = make_core(max_wait_s=0.5)
+        core.predict([0], timeout=30)  # warm-up
+        for node in range(1, 11):
+            started = time.monotonic()
+            result = core.predict([node], timeout=30)
+            assert time.monotonic() - started < 0.25
+            assert np.array_equal(result, engine.predict_nodes([node]))
+
+
+class TestBatchWindowOverReplicas(TestBatchWindow):
+    executor = "replica"
+
+
+class TestComputeBoundCoalescing:
+    """A slow executor still batches: the window it opens lasts as long
+    as its batches take."""
+
+    def test_requests_queued_during_a_batch_share_the_next_one(self):
+        batches, running = [], threading.Event()
+
+        def batch_fn(payloads):  # echoes its payloads, 50 ms per batch
+            batches.append(list(payloads))
+            running.set()
+            time.sleep(0.05)
+            return payloads
+
+        with MicroBatcher(batch_fn, max_wait_s=0.5) as batcher:
+            first = batcher.submit(0)
+            assert running.wait(timeout=10), "the first batch never started"
+            queued = [batcher.submit(value) for value in (1, 2, 3)]
+            assert [future.result(timeout=10) for future in (first, *queued)] == [0, 1, 2, 3]
+        assert batches == [[0], [1, 2, 3]]
+
+    def test_a_straggler_within_the_window_joins_the_batch(self):
+        # After a 0.3 s batch the next one stays open for up to 0.3 s, so
+        # a request sent right after the first reply joins the one that
+        # queued during it; max_batch_size=2 then closes the batch.
+        batches, running, release = [], threading.Event(), threading.Event()
+
+        def batch_fn(payloads):  # echoes its payloads; the first batch waits for release
+            batches.append(list(payloads))
+            running.set()
+            release.wait(timeout=10)
+            return payloads
+
+        with MicroBatcher(batch_fn, max_batch_size=2, max_wait_s=0.5) as batcher:
+            first = batcher.submit(0)
+            assert running.wait(timeout=10), "the first batch never started"
+            time.sleep(0.3)
+            queued = batcher.submit(1)
+            release.set()
+            assert first.result(timeout=10) == 0
+            straggler = batcher.submit(2)
+            assert queued.result(timeout=10) == 1 and straggler.result(timeout=10) == 2
+        assert batches == [[0], [1, 2]]
 
 
 # ----------------------------------------------------------------------
