@@ -5,7 +5,11 @@ Runs a small, fully seeded RDD fit on the tiny DC-SBM citation stand-in
 (``cora_like`` at scale 0.05) with per-epoch history recording enabled,
 and freezes the observable trajectory — per-student losses and
 validation accuracies, base/ensemble test accuracies, the α-weights, and
-the reliable-set sizes — as JSON.
+the reliable-set sizes — as JSON.  The same fit runs twice: full batch
+(``golden_rdd_sbm.json``) and through neighbor-sampled mini-batches
+(``golden_rdd_sbm_sampled.json``; fanouts (3, 3) and 16 seeds per batch,
+so every epoch runs several partial batches and L2/Lreg take the
+batch-restricted path).
 
 ``tests/test_golden_regression.py`` replays the identical configuration
 and compares against this file with tight tolerances, so any silent
@@ -26,10 +30,15 @@ import sys
 SEED = 0
 SCALE = 0.05
 
-FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "golden_rdd_sbm.json"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "tests" / "fixtures"
+FIXTURE = FIXTURES / "golden_rdd_sbm.json"
+SAMPLED_FIXTURE = FIXTURES / "golden_rdd_sbm_sampled.json"
+
+#: What the sampled run adds to the golden config.
+SAMPLED = dict(sampler="neighbor", fanouts=(3, 3), batch_size=16)
 
 
-def golden_config():
+def golden_config(**overrides):
     from repro.core.config import RDDConfig
 
     return RDDConfig(
@@ -38,16 +47,18 @@ def golden_config():
         patience=6,
         hidden=8,
         record_history=True,
+        **overrides,
     )
 
 
-def run_golden():
-    """The exact run the fixture freezes (shared with the test)."""
+def run_golden(sampled: bool = False):
+    """The exact run a fixture freezes (shared with the test)."""
     from repro.core.rdd import RDDTrainer
     from repro.datasets.citation import cora_like
 
     graph = cora_like(seed=SEED, scale=SCALE)
-    result = RDDTrainer(golden_config()).fit(graph, seed=SEED)
+    config = golden_config(**SAMPLED) if sampled else golden_config()
+    result = RDDTrainer(config).fit(graph, seed=SEED)
     return graph, result
 
 
@@ -83,15 +94,15 @@ def snapshot(graph, result) -> dict:
 
 
 def main() -> int:
-    graph, result = run_golden()
-    data = snapshot(graph, result)
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
-    print(
-        f"  {len(data['students'])} students, "
-        f"ensemble test accuracy {data['ensemble_test_accuracy']:.6f}"
-    )
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for path, sampled in ((FIXTURE, False), (SAMPLED_FIXTURE, True)):
+        data = snapshot(*run_golden(sampled))
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+        print(
+            f"  {len(data['students'])} students, "
+            f"ensemble test accuracy {data['ensemble_test_accuracy']:.6f}"
+        )
     return 0
 
 

@@ -117,27 +117,29 @@ def sampled_rdd_student_loss(
     """
     k = logits.shape[1]
     loss = l1 = l2 = lreg = None
-    local_train = np.flatnonzero(np.isin(seeds, graph.train_index))
-    if local_train.size:
-        l1 = masked_cross_entropy_logits(logits, graph.labels[seeds], local_train)
+    # Batch membership and batch row of every seed, in arrays indexed by
+    # node id (O(batch) writes); ``seeds`` is sorted, so each row equals
+    # ``np.searchsorted(seeds, node)``.
+    member = np.zeros(graph.num_nodes, dtype=bool)
+    member[seeds] = True
+    row = np.empty(graph.num_nodes, dtype=np.int64)
+    row[seeds] = np.arange(len(seeds))
+    train = graph.train_index[member[graph.train_index]]
+    if train.size:
+        # train_index need not be sorted; L1 sums its terms in batch order.
+        l1 = masked_cross_entropy_logits(logits, graph.labels[seeds], np.sort(row[train]))
         loss = l1
     if state.gamma > 0.0 and len(state.distill_index):
-        in_batch = np.isin(state.distill_index, seeds)
-        global_index = state.distill_index[in_batch]
+        global_index = state.distill_index[member[state.distill_index]]
         if global_index.size:
-            local_index = np.searchsorted(seeds, global_index)
-            l2 = _distill_term(logits, state, k, local_index=local_index,
+            l2 = _distill_term(logits, state, k, local_index=row[global_index],
                                teacher_index=global_index)
             term = ops.mul(l2, state.gamma)
             loss = term if loss is None else ops.add(loss, term)
     if state.beta > 0.0 and len(state.edge_src):
-        src_in = np.isin(state.edge_src, seeds)
-        dst_in = np.isin(state.edge_dst, seeds)
-        both = src_in & dst_in
+        both = member[state.edge_src] & member[state.edge_dst]
         if both.any():
-            local_src = np.searchsorted(seeds, state.edge_src[both])
-            local_dst = np.searchsorted(seeds, state.edge_dst[both])
-            lreg = edge_regularization(logits, local_src, local_dst)
+            lreg = edge_regularization(logits, row[state.edge_src[both]], row[state.edge_dst[both]])
             term = ops.mul(lreg, state.beta / k)
             loss = term if loss is None else ops.add(loss, term)
     if state.record_components:

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
+from repro.sampling.blocks import FrontierIndex
 from repro.sampling.neighbor import check_node_ids, sample_adjacent
 
 
@@ -135,6 +136,7 @@ def build_blocks(
     csr = adjacency.tocsr()
     indptr = csr.indptr.astype(np.int64, copy=False)
     indices = csr.indices.astype(np.int64, copy=False)
+    frontier = FrontierIndex(csr.shape[0])
     blocks: List[SampledBlock] = []
     current = np.unique(check_node_ids(seed_nodes, csr.shape[0], "seed_nodes"))
     for fanout in fanouts:
@@ -146,13 +148,8 @@ def build_blocks(
         out_counts = np.where(counts == 0, 1, counts)
 
         # Local ids: outputs first (current order), then newly reached
-        # sources in ascending global order — all vectorized via a
-        # sort + searchsorted instead of Python dict loops.
-        new = np.unique(src)
-        new = new[np.isin(new, current, invert=True)]
-        ordered_inputs = np.concatenate([current, new])
-        order = np.argsort(ordered_inputs, kind="stable")
-        local_src = order[np.searchsorted(ordered_inputs[order], src)]
+        # sources in ascending global order (BlockBuilder's renumbering).
+        ordered_inputs, local_src = frontier.expand(current, src)
         local_dst = np.repeat(np.arange(len(current), dtype=np.int64), out_counts)
         blocks.append(
             SampledBlock(

@@ -215,7 +215,8 @@ class NeighborSampler:
 
         RDD's reliability-prioritized sampling updates these every epoch:
         reliable nodes get a larger weight, so over-fanout rows keep them
-        preferentially.
+        preferentially.  Weights must be finite and strictly positive: a
+        NaN key would sort past its row and shift every later row's ranks.
         """
         if weights is None:
             self._weights = None
@@ -225,8 +226,8 @@ class NeighborSampler:
             raise GraphError(
                 f"weights must have shape ({self.num_nodes},), got {weights.shape}"
             )
-        if weights.size and weights.min() <= 0.0:
-            raise GraphError("sampling weights must be strictly positive")
+        if weights.size and not (np.isfinite(weights).all() and weights.min() > 0.0):
+            raise GraphError("sampling weights must be finite and strictly positive")
         self._weights = weights
 
     def sample(

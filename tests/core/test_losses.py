@@ -1,11 +1,28 @@
-"""Tests for the composite RDD student loss (Eq. 10)."""
+"""Tests for the composite RDD student loss (Eq. 10).
+
+``TestSampledLossOracle`` holds the batch-restricted loss to the
+``np.isin``/``np.searchsorted`` formulation it replaced, kept here as
+the reference: loss and gradients must match it bitwise.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.losses import DISTILL_MODES, RDDLossState, rdd_student_loss
+from repro.core.losses import (
+    DISTILL_MODES,
+    RDDLossState,
+    _distill_term,
+    rdd_student_loss,
+    sampled_rdd_student_loss,
+)
 from repro.tensor import Tensor, ops
-from repro.tensor.functional import masked_cross_entropy
+from repro.tensor.functional import (
+    edge_regularization,
+    masked_cross_entropy,
+    masked_cross_entropy_logits,
+)
 
 
 def make_state(graph, **overrides):
@@ -106,3 +123,82 @@ class TestDistillModes:
         assert rdd_student_loss(tiny_graph, logits, state).item() == pytest.approx(
             rdd_student_loss(tiny_graph, Tensor(np.zeros((n, k))), base).item()
         )
+
+
+def reference_sampled_loss(graph, logits, state, seeds):
+    """The batch-restricted loss by sorted-array membership (the reference)."""
+    k = logits.shape[1]
+    loss = l1 = l2 = lreg = None
+    local_train = np.flatnonzero(np.isin(seeds, graph.train_index))
+    if local_train.size:
+        l1 = masked_cross_entropy_logits(logits, graph.labels[seeds], local_train)
+        loss = l1
+    if state.gamma > 0.0 and len(state.distill_index):
+        global_index = state.distill_index[np.isin(state.distill_index, seeds)]
+        if global_index.size:
+            l2 = _distill_term(logits, state, k, local_index=np.searchsorted(seeds, global_index),
+                               teacher_index=global_index)
+            term = ops.mul(l2, state.gamma)
+            loss = term if loss is None else ops.add(loss, term)
+    if state.beta > 0.0 and len(state.edge_src):
+        both = np.isin(state.edge_src, seeds) & np.isin(state.edge_dst, seeds)
+        if both.any():
+            lreg = edge_regularization(logits, np.searchsorted(seeds, state.edge_src[both]),
+                                       np.searchsorted(seeds, state.edge_dst[both]))
+            term = ops.mul(lreg, state.beta / k)
+            loss = term if loss is None else ops.add(loss, term)
+    state.components = {
+        "L1": 0.0 if l1 is None else l1.item(),
+        "L2": 0.0 if l2 is None else l2.item(),
+        "Lreg": 0.0 if lreg is None else lreg.item(),
+        "total": 0.0 if loss is None else loss.item(),
+    }
+    return loss
+
+
+def batch_loss_and_grads(loss_fn, graph, state, seeds, weight, bias):
+    """Loss, components and parameter gradients of a linear student."""
+    w = Tensor(weight.copy(), requires_grad=True)
+    b = Tensor(bias.copy(), requires_grad=True)
+    logits = ops.add(ops.matmul(Tensor(graph.features[seeds]), w), b)
+    loss = loss_fn(graph, logits, state, seeds)
+    if loss is None:
+        return None, dict(state.components), None, None
+    loss.backward()
+    return loss.item(), dict(state.components), w.grad.copy(), b.grad.copy()
+
+
+class TestSampledLossOracle:
+    @pytest.mark.parametrize("mode", DISTILL_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_reference_bitwise(self, tiny_graph, mode, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        n, k = tiny_graph.num_nodes, tiny_graph.num_classes
+        graph = tiny_graph
+        if data.draw(st.booleans(), label="shuffled_train"):
+            graph = tiny_graph.with_split(rng.permutation(tiny_graph.train_index))
+        seeds = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        src, dst = tiny_graph.edge_list()
+        edges = rng.permutation(len(src))[: int(rng.integers(0, len(src) + 1))]
+        teacher_probs = rng.dirichlet(np.ones(k), size=n)
+        state = RDDLossState(
+            teacher_embeddings=rng.normal(size=(n, k)),
+            teacher_probs=teacher_probs,
+            distill_index=rng.permutation(n)[: int(rng.integers(0, n + 1))],
+            edge_src=src[edges],
+            edge_dst=dst[edges],
+            gamma=data.draw(st.sampled_from([0.0, 0.3, 2.0]), label="gamma"),
+            beta=data.draw(st.sampled_from([0.0, 0.5, 3.0]), label="beta"),
+            distill_mode=mode,
+            record_components=True,
+        )
+        weight = rng.normal(size=(graph.num_features, k))
+        bias = rng.normal(size=k)
+        got = batch_loss_and_grads(sampled_rdd_student_loss, graph, state, seeds, weight, bias)
+        want = batch_loss_and_grads(reference_sampled_loss, graph, state, seeds, weight, bias)
+        assert got[1] == want[1]
+        for mine, theirs in zip((got[0], got[2], got[3]), (want[0], want[2], want[3])):
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes()

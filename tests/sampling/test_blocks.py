@@ -5,6 +5,11 @@ covers every neighbor, each block row must be **bitwise** equal to the
 corresponding row of the global ``gcn_normalize`` output under local
 renumbering.  The differential tests (sampled training == full-batch
 training) in ``tests/training/test_sampled.py`` rest on this identity.
+
+``TestSortedOracle`` holds the builder to the sort-based construction it
+replaced (``np.unique``/``np.isin`` frontier, argsort + ``searchsorted``
+local ids, ``np.lexsort`` CSR order), kept here as the reference: every
+block and every random draw must match it bitwise.
 """
 
 import numpy as np
@@ -14,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import build_adjacency
+from repro.graph import build_adjacency, build_blocks
 from repro.graph.normalize import gcn_normalize
-from repro.sampling import BlockBuilder, ItemSampler
+from repro.sampling import BlockBuilder, ItemSampler, NeighborSampler, check_node_ids
+from repro.sampling.neighbor import sample_adjacent
 
 
 def random_graph(num_nodes, edge_prob, seed):
@@ -140,6 +146,130 @@ class TestFullFanoutParity:
         np.testing.assert_allclose(dense[1:], a_hat[0, kept] * (8.0 / 2.0))
 
 
+def sorted_frontier(current, src):
+    """Reference renumbering: outputs, then new sources ascending."""
+    new = np.unique(src)
+    new = new[np.isin(new, current, invert=True)]
+    input_nodes = np.concatenate([current, new])
+    order = np.argsort(input_nodes, kind="stable")
+    return input_nodes, order[np.searchsorted(input_nodes[order], src)]
+
+
+def reference_build(sampler, fanouts, seeds):
+    """Reference block construction; ``(input, output, data, indices, indptr)``."""
+    degrees = np.diff(sampler.indptr)
+    inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
+    current = np.unique(check_node_ids(seeds, sampler.num_nodes, "seeds"))
+    blocks = []
+    for fanout in fanouts:
+        src, _, counts = sampler.sample(current, fanout)
+        num_out = len(current)
+        input_nodes, local_src = sorted_frontier(current, src)
+        deg = degrees[current].astype(np.float64)
+        rescale = np.divide(deg, counts, out=np.zeros(num_out), where=counts > 0)
+        rows = np.concatenate(
+            [np.arange(num_out, dtype=np.int64),
+             np.repeat(np.arange(num_out, dtype=np.int64), counts)]
+        )
+        cols = np.concatenate([np.arange(num_out, dtype=np.int64), local_src])
+        inv_cur = inv_sqrt[current]
+        vals = np.concatenate(
+            [inv_cur * inv_cur,
+             (inv_sqrt[src] * np.repeat(inv_cur, counts)) * np.repeat(rescale, counts)]
+        )
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(num_out + 1, dtype=np.int64)
+        np.cumsum(counts + 1, out=indptr[1:])
+        blocks.append((input_nodes, current, vals[order], cols[order], indptr))
+        current = input_nodes
+    blocks.reverse()
+    return blocks
+
+
+def assert_same_blocks(batch, expected):
+    assert len(batch.blocks) == len(expected)
+    for block, ref in zip(batch.blocks, expected):
+        got = (block.input_nodes, block.output_nodes, block.adjacency.data,
+               block.adjacency.indices, block.adjacency.indptr)
+        for mine, theirs in zip(got, ref):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+
+def oracle_graph(data):
+    """Random graph with isolated nodes and a hub of degree >= 3."""
+    num_nodes = data.draw(st.integers(7, 30), label="num_nodes")
+    graph_rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="graph_seed"))
+    num_isolated = data.draw(st.integers(1, 3), label="num_isolated")
+    linked = num_nodes - num_isolated
+    hub_degree = int(graph_rng.integers(3, linked))
+    edges = [(0, j) for j in graph_rng.choice(np.arange(1, linked), hub_degree, replace=False)]
+    prob = data.draw(st.floats(0.0, 0.4), label="edge_prob")
+    edges += [(i, j) for i in range(1, linked) for j in range(i + 1, linked)
+              if graph_rng.random() < prob]
+    return build_adjacency(num_nodes, np.asarray(edges))
+
+
+class TestSortedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_builds_match_reference(self, data):
+        adjacency = oracle_graph(data)
+        num_nodes = adjacency.shape[0]
+        max_degree = int(np.diff(adjacency.indptr).max())
+        fanouts = tuple(data.draw(
+            st.lists(st.integers(1, max_degree + 2), min_size=1, max_size=3), label="fanouts"
+        ))
+        # At least one row (the hub) lies above some layer's fanout.
+        fanouts = (min(fanouts[0], max_degree - 1),) + fanouts[1:]
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        weights = None
+        if data.draw(st.booleans(), label="weighted"):
+            weights = np.random.default_rng(seed + 1).uniform(0.05, 20.0, num_nodes)
+        builder = BlockBuilder(adjacency, fanouts, seed=seed, weights=weights)
+        reference = NeighborSampler(adjacency, seed=seed, weights=weights)
+        batches = data.draw(st.lists(
+            st.lists(st.integers(0, num_nodes - 1), min_size=1, max_size=2 * num_nodes),
+            min_size=3, max_size=5,
+        ), label="batches")
+        batches[0].append(0)  # the hub's row is sampled in the first build
+        for seeds in batches:
+            seeds = np.asarray(seeds)
+            assert_same_blocks(builder.build(seeds), reference_build(reference, fanouts, seeds))
+            assert builder.sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_failed_build_leaves_next_build_unchanged(self, tiny_graph):
+        builder = BlockBuilder(tiny_graph.adjacency, (2, 3), seed=5)
+        reference = NeighborSampler(tiny_graph.adjacency, seed=5)
+        good = tiny_graph.train_index[:6]
+        assert_same_blocks(builder.build(good), reference_build(reference, (2, 3), good))
+        with pytest.raises(GraphError):
+            builder.build(np.array([1, tiny_graph.num_nodes]))
+        again = tiny_graph.train_index[3:9]
+        assert_same_blocks(builder.build(again), reference_build(reference, (2, 3), again))
+        assert builder.sampler.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_legacy_build_blocks_matches_reference(self):
+        # Isolated nodes (8, 9) take the self-edge path of the legacy API.
+        adjacency = build_adjacency(10, np.array([[0, i] for i in range(1, 8)] + [[2, 3]]))
+        seeds = np.array([9, 3, 0, 8, 3])
+        blocks = build_blocks(adjacency, seeds, (2, 3), np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        current = np.unique(seeds)
+        expected = []
+        for fanout in (2, 3):
+            src, _, _ = sample_adjacent(adjacency.indptr.astype(np.int64),
+                                        adjacency.indices.astype(np.int64),
+                                        current, fanout, rng, isolated_self_edges=True)
+            input_nodes, local_src = sorted_frontier(current, src)
+            expected.append((input_nodes, local_src))
+            current = input_nodes
+        for block, (input_nodes, local_src) in zip(blocks, reversed(expected)):
+            assert block.input_nodes.tobytes() == input_nodes.tobytes()
+            assert block.edge_src.tobytes() == local_src.tobytes()
+            assert block.edge_src.dtype == local_src.dtype
+
+
 class TestItemSampler:
     def test_partitions_index_exactly(self):
         index = np.arange(10, 33)
@@ -179,3 +309,11 @@ class TestItemSampler:
             sampler.epoch(weights=np.ones(3))
         with pytest.raises(GraphError, match="positive"):
             sampler.epoch(weights=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        sampler = ItemSampler(np.arange(4), 2, seed=0)
+        weights = np.ones(4)
+        weights[2] = bad
+        with pytest.raises(GraphError, match="finite"):
+            sampler.epoch(weights=weights)

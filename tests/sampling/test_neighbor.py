@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph import build_adjacency
-from repro.sampling import NeighborSampler, check_node_ids, layerwise_neighborhood, sample_adjacent
+from repro.sampling import (
+    BlockBuilder,
+    NeighborSampler,
+    check_node_ids,
+    layerwise_neighborhood,
+    sample_adjacent,
+)
 
 
 def star_graph(leaves=8):
@@ -152,6 +158,27 @@ class TestNeighborSampler:
             sampler.set_weights(np.zeros(5))
         sampler.set_weights(np.ones(5))
         sampler.set_weights(None)  # clearing is allowed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # Two stars: hub 0 with leaves 1-3, hub 4 with leaves 5-7.  A NaN
+        # key sorts past its row and shifts later rows' ranks, pairing
+        # hubs with the other star's leaves.
+        adj = build_adjacency(8, np.array([[0, 1], [0, 2], [0, 3], [4, 5], [4, 6], [4, 7]]))
+        weights = np.ones(8)
+        weights[[1, 2]] = bad
+        with pytest.raises(GraphError, match="finite"):
+            NeighborSampler(adj, weights=weights)
+        sampler = NeighborSampler(adj)
+        with pytest.raises(GraphError, match="finite"):
+            sampler.set_weights(weights)
+        builder = BlockBuilder(adj, (2,))
+        with pytest.raises(GraphError, match="finite"):
+            builder.set_weights(weights)
+        # A rejected install leaves the previous (uniform) weights in place.
+        src, dst, _ = sampler.sample(np.array([0, 4]), 2)
+        assert set(src[dst == 0].tolist()) <= {1, 2, 3}
+        assert set(src[dst == 4].tolist()) <= {5, 6, 7}
 
     def test_accepts_int32_ids(self):
         sampler = NeighborSampler(star_graph(6))

@@ -5,6 +5,9 @@
 trajectory of a small seeded RDD run on the tiny DC-SBM citation
 stand-in: per-epoch losses and validation accuracies for every student,
 base/ensemble accuracies, α-weights, and reliable-set sizes.
+``golden_rdd_sbm_sampled.json`` freezes the same run through
+neighbor-sampled mini-batches; the ``TestSampled*`` classes replay it
+with the same checks.
 
 Replaying the identical configuration must reproduce that trajectory to
 float round-trip precision.  If this test fails you either changed
@@ -20,20 +23,14 @@ import sys
 import numpy as np
 import pytest
 
-FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_rdd_sbm.json"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # JSON stores float64 exactly (repr round-trip), so the tolerance covers
 # genuine numerical change only, not serialization noise.
 RTOL = 1e-7
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(FIXTURE.read_text())
-
-
-@pytest.fixture(scope="module")
-def replay():
+def _replay(sampled):
     # The generator script is the single source of truth for the run
     # configuration: import it so test and fixture can never disagree.
     sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "scripts"))
@@ -41,8 +38,27 @@ def replay():
         import make_golden_fixtures
     finally:
         sys.path.pop(0)
-    graph, result = make_golden_fixtures.run_golden()
-    return make_golden_fixtures.snapshot(graph, result)
+    return make_golden_fixtures.snapshot(*make_golden_fixtures.run_golden(sampled))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads((FIXTURES / "golden_rdd_sbm.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def replay():
+    return _replay(sampled=False)
+
+
+@pytest.fixture(scope="module")
+def golden_sampled():
+    return json.loads((FIXTURES / "golden_rdd_sbm_sampled.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def replay_sampled():
+    return _replay(sampled=True)
 
 
 class TestDatasetIdentity:
@@ -105,3 +121,31 @@ class TestReliabilityTrajectory:
         # Set sizes are integers: any drift here means the reliability
         # thresholds (Algorithms 1-2) changed behavior, not just bits.
         assert replay["reliability_history"] == golden["reliability_history"]
+
+
+class SampledRun:
+    """Mixin: run a class's checks on the neighbor-sampled fixture."""
+
+    @pytest.fixture
+    def golden(self, golden_sampled):
+        return golden_sampled
+
+    @pytest.fixture
+    def replay(self, replay_sampled):
+        return replay_sampled
+
+
+class TestSampledDatasetIdentity(SampledRun, TestDatasetIdentity):
+    pass
+
+
+class TestSampledAccuracyTrajectory(SampledRun, TestAccuracyTrajectory):
+    pass
+
+
+class TestSampledPerEpochTrajectory(SampledRun, TestPerEpochTrajectory):
+    pass
+
+
+class TestSampledReliabilityTrajectory(SampledRun, TestReliabilityTrajectory):
+    pass
