@@ -3,15 +3,19 @@
 Times the **full taped train step** — forward, backward, optimizer
 update — in two configurations that are bitwise identical in output:
 
-* **legacy** — the op-by-op tape (``use_fused_ops(False)``), plain
-  ``Tensor.backward`` (per-step DFS topological sort), and fresh
+* **legacy** — the op-by-op tape (the elementary chains of
+  ``tests/elementary_tape.py``, swapped in by ``elementary_tape()``),
+  plain ``Tensor.backward`` (per-step DFS topological sort), and fresh
   gradient-buffer allocation on every first accumulation: the training
   step as it existed before the fused layer;
 * **fused** — the fused kernels (single-node softmax cross entropy,
-  ``linear``, ``gcn_layer``, the validation-free sparse-dropout
-  rebuild) under a :class:`~repro.tensor.tensor.GradArena`: recycled
-  gradient buffers, ``zero_grad(set_to_none=True)``, and the cached
-  backward schedule replay.
+  ``linear``, ``gcn_layer``, arena-leased dropout) under a
+  :class:`~repro.tensor.tensor.GradArena`: recycled gradient buffers,
+  ``zero_grad(set_to_none=True)``, and the cached backward schedule
+  replay — the library's only taped step.
+
+Sparse-feature dropout lives in the ``Dropout`` layer, not in a kernel,
+so both sides rebuild the masked CSR matrix the same validation-free way.
 
 Workloads span the regimes the distillation pipeline hits:
 
@@ -51,9 +55,9 @@ from repro.models.gcn import GCN
 from repro.models.jknet import JKNet
 from repro.models.mlp import MLP
 from repro.nn.optim import Adam
-from repro.tensor.fused import use_fused_ops
 from repro.tensor.tensor import GradArena
 from repro.training.trainer import supervised_loss
+from tests.elementary_tape import elementary_tape
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_trainstep.json"
@@ -74,33 +78,37 @@ WORKLOADS = {
 }
 
 
-def _make_step(graph, factory, fused: bool, arena: Optional[GradArena]):
-    """One full train step (forward + backward + optimizer) as a closure."""
+def _make_step(graph, factory, arena: Optional[GradArena]):
+    """One full train step (forward + backward + optimizer) as a closure.
+
+    With an arena this is the fused step; without one, the legacy step:
+    the elementary tape and a plain ``loss.backward()``.
+    """
     model = factory(graph, np.random.default_rng(0))
     optimizer = Adam(model.parameters(), lr=0.01, weight_decay=5e-4)
     loss_fn = supervised_loss(graph)
 
     def step(epoch: int) -> None:
-        with use_fused_ops(fused):
-            model.train()
-            if arena is None:
+        model.train()
+        if arena is None:
+            with elementary_tape():
                 loss = loss_fn(model, model(graph), epoch)
-                optimizer.zero_grad()
-                loss.backward()
-            else:
-                with arena.record():
-                    loss = loss_fn(model, model(graph), epoch)
-                optimizer.zero_grad()
-                arena.backward(loss)
-            optimizer.step()
+            optimizer.zero_grad()
+            loss.backward()
+        else:
+            with arena.record():
+                loss = loss_fn(model, model(graph), epoch)
+            optimizer.zero_grad()
+            arena.backward(loss)
+        optimizer.step()
 
     return model, step
 
 
 def _assert_parity(graph, factory, steps: int = 5) -> None:
     """Fused and legacy steps must leave identical parameters behind."""
-    legacy_model, legacy_step = _make_step(graph, factory, fused=False, arena=None)
-    fused_model, fused_step = _make_step(graph, factory, fused=True, arena=GradArena())
+    legacy_model, legacy_step = _make_step(graph, factory, arena=None)
+    fused_model, fused_step = _make_step(graph, factory, arena=GradArena())
     for epoch in range(steps):
         legacy_step(epoch)
         fused_step(epoch)
@@ -131,8 +139,8 @@ def bench_workload(name: str, repeats: int = 50) -> Dict[str, float]:
     # is being measured (steady-state buffer reuse and the cached
     # backward schedule only pay off across steps) — then alternate
     # best-of rounds so machine drift hits both paths equally.
-    _, legacy_step = _make_step(graph, spec["factory"], fused=False, arena=None)
-    _, fused_step = _make_step(graph, spec["factory"], fused=True, arena=GradArena())
+    _, legacy_step = _make_step(graph, spec["factory"], arena=None)
+    _, fused_step = _make_step(graph, spec["factory"], arena=GradArena())
     for epoch in range(5):  # warm caches, allocator, cached schedule
         legacy_step(epoch)
         fused_step(epoch)

@@ -74,8 +74,8 @@ ROBUSTNESS_BASELINE_PATH = REPO_ROOT / "BENCH_robustness.json"
 
 # A fresh speedup may drop to this fraction of the committed one before
 # the check fails — wide enough for cross-machine and scheduler noise,
-# tight enough to catch a real regression (e.g. the fused path silently
-# falling back to the legacy tape).
+# tight enough to catch a real regression (e.g. a layer or loss taping
+# the elementary op chain instead of its fused kernel).
 TOLERANCE = 0.75
 
 # The deep taped regime must keep the acceptance-floor speedup outright.

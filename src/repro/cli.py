@@ -87,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute dtype (default float64; float32 is faster)",
     )
     run.add_argument(
-        "--fused", action=argparse.BooleanOptionalAction, default=None,
-        help="fused training-step kernels (default on; --no-fused falls back "
-             "to the legacy op-by-op tape — results are bitwise identical)",
-    )
-    run.add_argument(
         "--sampler", choices=["full", "neighbor"], default="full",
         help="training mode for the GCN/RDD runners: 'full' (paper's "
              "full-batch) or 'neighbor' (mini-batch neighbor-sampled "
@@ -574,7 +569,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         dropout=args.dropout,
         workers=args.workers,
         dtype=args.dtype,
-        fused=args.fused,
         sampler=args.sampler,
         fanouts=_parse_fanouts(args.fanouts),
         batch_size=args.batch_size,

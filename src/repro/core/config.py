@@ -72,19 +72,9 @@ class RDDConfig:
     # Labeled-node reliability check: "teacher" (§3.1 prose, default) or
     # "student" (the literal Algorithm 1 line 4) — see core.reliability.
     labeled_check: str = "teacher"
-    # Share the trainer's per-epoch eval forward with the reliability
-    # refresh (2 full-graph forwards per epoch instead of 3).  False
-    # reproduces the legacy schedule where the refresh runs its own
-    # forward; results are identical either way — the shared logits are
-    # bitwise the ones the refresh would recompute.
-    share_eval_forward: bool = True
     # Record per-epoch loss/val-accuracy history on every student's
     # TrainResult (golden-trajectory regression fixtures rely on this).
     record_history: bool = False
-    # Fused training-step kernels: True/False forces the fused/legacy
-    # tape for every student; None keeps the process default (fused on).
-    # The two paths are bitwise identical — see repro.tensor.fused.
-    fused: "bool | None" = None
     # Mini-batch neighbor sampling (repro.sampling / SampledTrainer):
     # "full" keeps the paper's full-batch training; "neighbor" trains
     # every student on fanout-sampled blocks so peak memory scales with

@@ -155,9 +155,7 @@ class RDDTrainer:
             patience=config.patience,
             lr=config.lr,
             weight_decay=config.weight_decay,
-            share_eval_forward=config.share_eval_forward,
             record_history=config.record_history,
-            fused=config.fused,
         )
         if config.sampler == "neighbor":
             # Memory-bounded path: every student trains on fanout-sampled
@@ -308,15 +306,10 @@ class RDDTrainer:
         # sampling plan (reliability-prioritized seed/neighbor selection).
         holder: dict = {}
 
-        def refresh(epoch: int, student: GraphModel, eval_logits=None) -> None:
-            """Per-epoch reliability update (Alg. 3 line 7).
-
-            ``eval_logits`` are the trainer's shared eval-mode logits;
-            when absent (legacy schedule) the refresh runs its own forward.
-            """
+        def refresh(epoch: int, student: GraphModel, eval_logits: np.ndarray) -> None:
+            """Per-epoch reliability update (Alg. 3 line 7) from the
+            trainer's current eval-mode logits."""
             refresh_start = time.perf_counter()
-            if eval_logits is None:
-                eval_logits = student.predict_logits(graph)
             student_probs = softmax_rows(eval_logits)
             sets = node_reliability(
                 teacher_probs,

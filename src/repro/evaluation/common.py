@@ -58,15 +58,6 @@ class HarnessConfig:
         Compute dtype for datasets and models — ``None`` keeps the
         float64 default; ``"float32"`` halves memory bandwidth on the
         spmm/BLAS-bound hot paths.
-    share_eval_forward:
-        Share the trainer's validation forward with RDD's reliability
-        refresh (2 full-graph forwards per epoch); False reproduces the
-        legacy 3-forward schedule.
-    fused:
-        Fused training-step kernels: True/False forces the fused/legacy
-        autodiff tape; None (default) keeps the process default (fused
-        on).  Bitwise identical either way — excluded from the
-        fingerprint like the other execution knobs.
     checkpoint_dir / resume:
         When ``checkpoint_dir`` is set, every :func:`run_over_seeds`
         loop persists each completed seed cell (atomic, checksummed —
@@ -99,8 +90,6 @@ class HarnessConfig:
     weight_decay: float = 5e-4
     workers: int = 1
     dtype: Optional[str] = None
-    share_eval_forward: bool = True
-    fused: Optional[bool] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = True
     task_retries: int = 0
@@ -129,8 +118,6 @@ class HarnessConfig:
             patience=self.patience,
             lr=self.lr,
             weight_decay=self.weight_decay,
-            share_eval_forward=self.share_eval_forward,
-            fused=self.fused,
         )
 
     def sampled_trainer(self, sample_seed: int = 0) -> SampledTrainer:
@@ -144,8 +131,6 @@ class HarnessConfig:
             patience=self.patience,
             lr=self.lr,
             weight_decay=self.weight_decay,
-            share_eval_forward=self.share_eval_forward,
-            fused=self.fused,
         )
 
     def rdd_config(self, **overrides) -> RDDConfig:
@@ -157,8 +142,6 @@ class HarnessConfig:
             dropout=self.dropout,
             lr=self.lr,
             weight_decay=self.weight_decay,
-            share_eval_forward=self.share_eval_forward,
-            fused=self.fused,
             sampler=self.sampler,
             fanouts=tuple(self.fanouts),
             batch_size=self.batch_size,
@@ -190,7 +173,6 @@ class HarnessConfig:
             "lr": self.lr,
             "weight_decay": self.weight_decay,
             "dtype": self.dtype,
-            "share_eval_forward": self.share_eval_forward,
         }
         if self.sampler != "full":
             # Sampling changes results, so it is part of the scientific

@@ -9,16 +9,14 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel
 from repro.nn.layers import Dropout, GraphConvolution
-from repro.nn.module import ModuleList
+from repro.nn.module import Module, ModuleList
 from repro.tensor import ops
-from repro.tensor.sparse import sparse_dense_matmul
-from repro.tensor.tensor import Tensor, is_grad_enabled
+from repro.tensor.tensor import Tensor
 
 
 class GCN(GraphModel):
@@ -57,17 +55,18 @@ class GCN(GraphModel):
             widths = list(hidden)
             if len(widths) != num_layers - 1:
                 raise ConfigError(
-                    f"{num_layers}-layer GCN needs {num_layers - 1} hidden widths, got {len(widths)}"
+                    f"{num_layers}-layer {type(self).__name__} needs {num_layers - 1} "
+                    f"hidden widths, got {len(widths)}"
                 )
         dims = [num_features] + widths + [num_classes]
-        self.layers = ModuleList(
-            GraphConvolution(dims[i], dims[i + 1], rng) for i in range(num_layers)
-        )
+        self.layers = ModuleList(self._layer(dims[i], dims[i + 1], rng) for i in range(num_layers))
         self.dropout = Dropout(dropout, rng)
 
+    def _layer(self, in_features: int, out_features: int, rng: np.random.Generator) -> Module:
+        """One graph convolution; subclasses swap the aggregation here."""
+        return GraphConvolution(in_features, out_features, rng)
+
     def forward(self, graph: Graph) -> Tensor:
-        if not is_grad_enabled() and not self.training:
-            return Tensor._from_array(self._inference(graph))
         adjacency = graph.normalized_adjacency()
         h = graph.features
         for i, layer in enumerate(self.layers):
@@ -75,26 +74,4 @@ class GCN(GraphModel):
             h = layer(adjacency, h)
             if i < len(self.layers) - 1:
                 h = ops.relu(h)
-        return h
-
-    def _inference(self, graph: Graph) -> np.ndarray:
-        """Raw-ndarray eval forward: no tape, no per-layer dispatch.
-
-        Valid only in eval mode (dropout is the identity) with grads
-        disabled.  Every array it touches is fresh, so the in-place bias
-        add and ReLU are bitwise identical to the layered ops path.
-        """
-        adjacency = graph.normalized_adjacency()
-        h = graph.features
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            if sp.issparse(h):
-                support = sparse_dense_matmul(h.tocsr(), layer.weight.data)
-            else:
-                support = h @ layer.weight.data
-            h = sparse_dense_matmul(adjacency, support)
-            if layer.bias is not None:
-                h += layer.bias.data
-            if i < last:
-                np.maximum(h, 0.0, out=h)
         return h

@@ -23,7 +23,8 @@ class SGC(GraphModel):
     """Logistic regression on K-step propagated features.
 
     The propagated features ``Â^K X`` depend only on the graph, so they
-    are computed once and cached per graph instance.
+    are computed once (in float64) and cached per graph instance in the
+    graph's feature dtype.
     """
 
     def __init__(
@@ -53,9 +54,9 @@ class SGC(GraphModel):
             for _ in range(self.k_hops):
                 propagated = adjacency @ propagated
             self._cache_key = graph
-            self._cached_features = propagated
+            self._cached_features = propagated.astype(graph.features.dtype, copy=False)
         return self._cached_features
 
     def forward(self, graph: Graph) -> Tensor:
-        features = Tensor(self._propagated_features(graph))
+        features = Tensor._from_array(self._propagated_features(graph))
         return self.classifier(self.dropout(features))

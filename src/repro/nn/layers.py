@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import fused, ops
-from repro.tensor.sparse import sparse_dense_matmul, sparse_feature_matmul, spmm
+from repro.tensor.sparse import sparse_dense_matmul, sparse_feature_matmul
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 FeatureInput = Union[Tensor, np.ndarray, sp.spmatrix]
@@ -61,12 +61,7 @@ class Linear(Module):
     def forward(self, x: FeatureInput) -> Tensor:
         if not is_grad_enabled():
             return Tensor._from_array(_affine_inference(x, self.weight, self.bias))
-        if fused.fused_ops_enabled():
-            return fused.linear(x, self.weight, self.bias)
-        out = _feature_matmul(x, self.weight)
-        if self.bias is not None:
-            out = ops.add(out, self.bias)
-        return out
+        return fused.linear(x, self.weight, self.bias)
 
 
 class GraphConvolution(Module):
@@ -81,22 +76,12 @@ class GraphConvolution(Module):
 
     def forward(self, adjacency: sp.spmatrix, x: FeatureInput) -> Tensor:
         if not is_grad_enabled():
-            data = _raw_data(x)
-            if sp.issparse(data):
-                support = sparse_dense_matmul(data.tocsr(), self.weight.data)
-            else:
-                support = data @ self.weight.data
+            support = _affine_inference(x, self.weight, None)
             out = sparse_dense_matmul(adjacency.tocsr(), support)
             if self.bias is not None:
                 out += self.bias.data
             return Tensor._from_array(out)
-        if fused.fused_ops_enabled():
-            return fused.gcn_layer(adjacency, x, self.weight, self.bias)
-        support = _feature_matmul(x, self.weight)
-        out = spmm(adjacency, support)
-        if self.bias is not None:
-            out = ops.add(out, self.bias)
-        return out
+        return fused.gcn_layer(adjacency, x, self.weight, self.bias)
 
 
 class GraphAttention(Module):
@@ -169,10 +154,13 @@ class Dropout(Module):
         self.rate = rate
         self.rng = rng
 
-    def forward(self, x: FeatureInput) -> Tensor:
+    def forward(self, x: FeatureInput) -> FeatureInput:
+        if not self.training or self.rate <= 0.0:
+            # The identity returns its input as is, whatever its type: a
+            # Tensor wrap would cast dense float32 features to the
+            # process default dtype.
+            return x
         if sp.issparse(x):
-            if not self.training or self.rate <= 0.0:
-                return x  # pass sparse features through untouched
             # Sparse dropout: mask the stored nonzeros and rescale.
             keep = 1.0 - self.rate
             if sp.isspmatrix_csr(x):
@@ -185,27 +173,18 @@ class Dropout(Module):
                     mask = self.rng.random(x.nnz, dtype=np.float32) < keep
                 else:
                     mask = self.rng.random(x.nnz) < keep
-                dropped = x.data * mask / keep
-                if fused.fused_ops_enabled():
-                    # The index arrays are reused verbatim from a valid
-                    # CSR matrix, so re-validating them in __init__ is
-                    # pure overhead on the train-step hot path; build
-                    # the container directly around them.
-                    out = sp.csr_matrix.__new__(sp.csr_matrix)
-                    out.data = dropped
-                    out.indices = x.indices
-                    out.indptr = x.indptr
-                    out._shape = x.shape
-                    return out
-                return sp.csr_matrix(
-                    (dropped, x.indices, x.indptr),
-                    shape=x.shape,
-                    copy=False,
-                )
+                # The index arrays are reused verbatim from a valid CSR
+                # matrix, so re-validating them in __init__ is pure
+                # overhead on the train-step hot path; build the
+                # container directly around them.
+                out = sp.csr_matrix.__new__(sp.csr_matrix)
+                out.data = x.data * mask / keep
+                out.indices = x.indices
+                out.indptr = x.indptr
+                out._shape = x.shape
+                return out
             x = x.tocoo(copy=True)
             mask = self.rng.random(x.nnz) < keep
             x.data = x.data * mask / keep
             return x.tocsr()
-        if fused.fused_ops_enabled():
-            return fused.dropout(as_tensor(x), self.rate, self.rng, training=self.training)
-        return ops.dropout(as_tensor(x), self.rate, self.rng, training=self.training)
+        return fused.dropout(as_tensor(x), self.rate, self.rng)

@@ -35,18 +35,16 @@ sparse product.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import AGGREGATIONS
 from repro.errors import ConfigError
-from repro.graph.graph import Graph
-from repro.models.base import GraphModel
+from repro.models.gcn import GCN
 from repro.nn import init
-from repro.nn.layers import Dropout
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.module import Module, Parameter
 from repro.tensor import ops
 from repro.tensor.sparse import (
     sparse_dense_matmul,
@@ -246,13 +244,14 @@ class RobustGraphConvolution(Module):
         return out
 
 
-class RobustGCN(GraphModel):
+class RobustGCN(GCN):
     """A GCN whose layers aggregate with a robust estimator.
 
-    Same shape contract as :class:`~repro.models.gcn.GCN` (logits from
-    ``forward(graph)``), so it slots into :class:`~repro.training.trainer.Trainer`,
-    the bagging ensembles, and — via ``RDDConfig.aggregation`` — the RDD
-    student/teacher factory unchanged.
+    Everything but the layer type is :class:`~repro.models.gcn.GCN`'s
+    (widths, dropout, forward), so it slots into
+    :class:`~repro.training.trainer.Trainer`, the bagging ensembles, and
+    — via ``RDDConfig.aggregation`` — the RDD student/teacher factory
+    unchanged.
     """
 
     def __init__(
@@ -267,38 +266,22 @@ class RobustGCN(GraphModel):
         temperature: float = 1.0,
         trim: float = 0.45,
     ):
-        super().__init__()
-        if num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
-        if isinstance(hidden, int):
-            widths = [hidden] * (num_layers - 1)
-        else:
-            widths = list(hidden)
-            if len(widths) != num_layers - 1:
-                raise ConfigError(
-                    f"{num_layers}-layer RobustGCN needs {num_layers - 1} hidden "
-                    f"widths, got {len(widths)}"
-                )
-        dims = [num_features] + widths + [num_classes]
-        self.layers = ModuleList(
-            RobustGraphConvolution(
-                dims[i],
-                dims[i + 1],
-                rng,
-                aggregation=aggregation,
-                temperature=temperature,
-                trim=trim,
-            )
-            for i in range(num_layers)
+        # Set before GCN.__init__, which builds the layers through _layer.
+        self.aggregation = aggregation
+        self.temperature = temperature
+        self.trim = trim
+        super().__init__(
+            num_features, num_classes, rng, hidden=hidden, num_layers=num_layers, dropout=dropout
         )
-        self.dropout = Dropout(dropout, rng)
 
-    def forward(self, graph: Graph) -> Tensor:
-        adjacency = graph.normalized_adjacency()
-        h = graph.features
-        for i, layer in enumerate(self.layers):
-            h = self.dropout(h)
-            h = layer(adjacency, h)
-            if i < len(self.layers) - 1:
-                h = ops.relu(h)
-        return h
+    def _layer(
+        self, in_features: int, out_features: int, rng: np.random.Generator
+    ) -> RobustGraphConvolution:
+        return RobustGraphConvolution(
+            in_features,
+            out_features,
+            rng,
+            aggregation=self.aggregation,
+            temperature=self.temperature,
+            trim=self.trim,
+        )

@@ -115,7 +115,7 @@ def _raw_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
              shape: Tuple[int, int]) -> sp.csr_matrix:
     # The arrays are constructed sorted and in-range, so re-validating
     # them in __init__ is pure overhead on the per-batch hot path; build
-    # the container directly around them (same idiom as the fused
+    # the container directly around them (same idiom as the sparse
     # Dropout path in nn/layers.py).
     out = sp.csr_matrix.__new__(sp.csr_matrix)
     out.data = data

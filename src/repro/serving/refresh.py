@@ -19,8 +19,9 @@ two classes here turn that observation into a serving primitive:
   property ``tests/serving/test_refresh.py`` enforces.
 
   Note the one deliberate divergence: an unstreamed engine's table comes
-  from :meth:`GCN._inference`, whose hidden-layer GEMMs are single BLAS
-  calls whose blocking depends on the matrix shape.  Those are *not*
+  from the model's eval forward (:meth:`GraphModel.predict_logits`), whose
+  hidden-layer GEMMs are single BLAS calls whose blocking depends on the
+  matrix shape.  Those are *not*
   row-pure, so streaming engines use this routine for full builds too;
   streaming and non-streaming tables can differ in the last ulp (both
   are valid float orderings of the same sums).

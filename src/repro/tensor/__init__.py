@@ -9,13 +9,12 @@ Public surface:
   edge regularization, KL) and metrics;
 * :mod:`repro.tensor.gradcheck` — finite-difference gradient verification;
 * :mod:`repro.tensor.fused` — fused training-step kernels (single-node
-  softmax cross entropy, linear, GCN layer) plus the fused/legacy switch;
+  softmax cross entropy, linear, GCN layer, arena-leased dropout);
 * :class:`GradArena` — gradient-buffer arena with a cached backward
   schedule for structurally static training loops.
 """
 
 from repro.tensor import functional, fused, ops
-from repro.tensor.fused import fused_ops_enabled, set_fused_ops, use_fused_ops
 from repro.tensor.gradcheck import check_gradients, numerical_gradient
 from repro.tensor.sparse import sparse_feature_matmul, spmm
 from repro.tensor.tensor import (
@@ -38,9 +37,6 @@ __all__ = [
     "ops",
     "functional",
     "fused",
-    "fused_ops_enabled",
-    "set_fused_ops",
-    "use_fused_ops",
     "GradArena",
     "spmm",
     "sparse_feature_matmul",

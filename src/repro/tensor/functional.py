@@ -50,18 +50,14 @@ def masked_cross_entropy_logits(logits: Tensor, labels: np.ndarray, index: np.nd
     unique, both the loss and the gradient reaching ``logits`` are
     bitwise identical to the full-matrix formulation.
 
-    When fused kernels are enabled (the default) the whole gather →
-    log-softmax → NLL chain is emitted as the single
+    The whole gather → log-softmax → NLL chain is emitted as the single
     :func:`repro.tensor.fused.softmax_cross_entropy` tape node, which is
     itself bitwise identical to the elementary chain.
     """
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
         return Tensor(0.0)
-    if fused.fused_ops_enabled():
-        return fused.softmax_cross_entropy(logits, labels, index)
-    rows = ops.log_softmax(ops.gather(logits, index), axis=1)
-    return cross_entropy(rows, np.asarray(labels)[index])
+    return fused.softmax_cross_entropy(logits, labels, index)
 
 
 def masked_cross_entropy(log_probs: Tensor, labels: np.ndarray, index: np.ndarray) -> Tensor:

@@ -25,12 +25,12 @@ arithmetic the chain of elementary backward closures would perform
 (including the order in which gradient contributions reach shared
 parents).  ``tests/tensor/test_gradcheck.py`` verifies both the
 finite-difference correctness and the bitwise parity, and the
-differential suite trains the full model zoo fused-vs-legacy.
+differential suite trains the full model zoo fused-vs-elementary.
 
-The fused path is on by default and can be disabled globally
-(:func:`set_fused_ops`) or lexically (:class:`use_fused_ops`) to fall
-back to the elementary op-by-op tape — the seam the differential tests
-and benchmarks toggle.
+The layers and losses tape only these kernels.  The elementary chains
+live in ``tests/elementary_tape.py`` as the oracle;
+every call site looks the kernels up as ``fused.<name>``, so swapping
+them on this module routes the whole training step through the oracle.
 """
 
 from __future__ import annotations
@@ -45,53 +45,11 @@ from repro.tensor.sparse import cached_transpose, sparse_dense_matmul
 from repro.tensor.tensor import ArrayLike, Tensor, _as_array, as_tensor
 
 __all__ = [
-    "fused_ops_enabled",
-    "set_fused_ops",
-    "use_fused_ops",
     "softmax_cross_entropy",
     "linear",
     "gcn_layer",
     "dropout",
 ]
-
-# Whether the layers/losses that have a fused formulation use it.  On by
-# default; the legacy op-by-op tape stays available for differential
-# testing (the two are bitwise identical, so this is a pure perf knob).
-_FUSED_ENABLED = True
-
-
-def fused_ops_enabled() -> bool:
-    """Whether fused training-step kernels are currently active."""
-    return _FUSED_ENABLED
-
-
-def set_fused_ops(enabled: bool) -> bool:
-    """Globally enable/disable fused kernels; returns the previous state."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    return previous
-
-
-class use_fused_ops:
-    """Context manager scoping the fused-kernel switch.
-
-    ``use_fused_ops(None)`` is a no-op, which lets trainers thread an
-    optional override without branching.
-    """
-
-    def __init__(self, enabled: Optional[bool] = True):
-        self._enabled = enabled
-
-    def __enter__(self) -> "use_fused_ops":
-        self._previous = _FUSED_ENABLED
-        if self._enabled is not None:
-            set_fused_ops(self._enabled)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        set_fused_ops(self._previous)
-        return False
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ batch.  Training cost and the training-pass peak memory then scale with
 
 The loop keeps the full-batch trainer's contract wherever it can: same
 Adam/early-stopping budget, same best-checkpoint restore, the same
-``epoch_callback`` signatures (RDD's reliability refresh plugs in
+``epoch_callback`` signature (RDD's reliability refresh plugs in
 unchanged), and a :class:`TrainResult` with identical fields.  Two things
 necessarily differ:
 
@@ -44,11 +44,10 @@ from repro.nn.schedules import EarlyStopping
 from repro.sampling import BlockBuilder, ItemSampler, MiniBatch
 from repro.tensor import ops
 from repro.tensor.functional import accuracy, masked_cross_entropy_logits
-from repro.tensor.fused import use_fused_ops
 from repro.tensor.tensor import GradArena, Tensor
 from repro.testing.faults import fault_point
 from repro.training.records import TrainResult
-from repro.training.trainer import Trainer, _callback_wants_logits
+from repro.training.trainer import EpochCallback, Trainer
 
 # Batch-aware objective: receives the logits of the sorted/deduplicated
 # batch seeds (row i of ``logits`` is global node ``seeds[i]``).  May
@@ -175,7 +174,7 @@ class SampledTrainer(Trainer):
         model: GraphModel,
         graph: Graph,
         loss_fn: Optional[SampledLossFn] = None,
-        epoch_callback: Optional[Callable] = None,
+        epoch_callback: Optional[EpochCallback] = None,
         plan_fn: Optional[Callable[[int], SamplingPlan]] = None,
     ) -> TrainResult:
         """Mini-batch train ``model``; returns metrics of the best epoch.
@@ -186,10 +185,10 @@ class SampledTrainer(Trainer):
             Batch-aware objective (see :data:`SampledLossFn`); defaults
             to cross entropy over each batch's training seeds.
         epoch_callback:
-            Same contract as the full-batch trainer: ``(epoch, model)``
-            or ``(epoch, model, eval_logits)``, invoked before the
-            epoch's batches.  Shared eval logits are the latest
-            full-graph evaluation (epoch 0 bootstraps one).
+            Same contract as the full-batch trainer: ``(epoch, model,
+            eval_logits)``, invoked before the epoch's batches.
+            ``eval_logits`` are the latest full-graph evaluation (epoch 0
+            bootstraps one).
         plan_fn:
             ``epoch -> SamplingPlan`` recomputing the seed pool and
             sampling weights each epoch (runs *after* the callback, so
@@ -204,8 +203,6 @@ class SampledTrainer(Trainer):
         stopper = EarlyStopping(patience=self.patience)
         best_state = model.state_dict()
         history: List[dict] = []
-        wants_logits = epoch_callback is not None and _callback_wants_logits(epoch_callback)
-        share_logits = wants_logits and self.share_eval_forward
         eval_logits = None
 
         shuffle_rng, neighbor_rng = (
@@ -224,20 +221,15 @@ class SampledTrainer(Trainer):
             fanouts=list(fanouts),
             batch_size=self.batch_size,
         )
-        with fit_span, use_fused_ops(self.fused):
+        with fit_span:
             for epoch in range(self.max_epochs):
                 fault_point("trainer:epoch", key=epoch)
                 epochs_run = epoch + 1
                 with obs.span("epoch", epoch=epoch) as epoch_span:
                     if epoch_callback is not None:
-                        if share_logits:
-                            if eval_logits is None:  # bootstrap forward for epoch 0 only
-                                eval_logits = model.predict_logits(graph)
-                            epoch_callback(epoch, model, eval_logits)
-                        elif wants_logits:
-                            epoch_callback(epoch, model, None)
-                        else:
-                            epoch_callback(epoch, model)
+                        if eval_logits is None:  # bootstrap forward for epoch 0 only
+                            eval_logits = model.predict_logits(graph)
+                        epoch_callback(epoch, model, eval_logits)
 
                     plan = plan_fn(epoch) if plan_fn is not None else SamplingPlan(graph.train_index)
                     builder.set_weights(plan.node_weights)

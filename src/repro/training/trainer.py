@@ -8,9 +8,10 @@ inject their extra objective terms while reusing the same loop.
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Callable, Optional
+
+import numpy as np
 
 import repro.obs as obs
 from repro.errors import TrainingError
@@ -19,36 +20,14 @@ from repro.models.base import GraphModel
 from repro.nn.optim import Adam
 from repro.nn.schedules import EarlyStopping
 from repro.tensor.functional import accuracy, masked_cross_entropy_logits
-from repro.tensor.fused import use_fused_ops
 from repro.tensor.tensor import GradArena, Tensor
 from repro.testing.faults import fault_point
 from repro.training.records import TrainResult
 
 # Signature: loss_fn(model, logits, epoch) -> scalar Tensor.
 LossFn = Callable[[GraphModel, Tensor, int], Tensor]
-
-
-def _callback_wants_logits(callback: Callable) -> bool:
-    """Whether an epoch callback accepts a third (eval-logits) argument.
-
-    Legacy callbacks use ``(epoch, model)``; newer ones take
-    ``(epoch, model, eval_logits)`` so they can share the trainer's
-    eval-mode forward instead of running their own.
-    """
-    try:
-        params = inspect.signature(callback).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for param in params:
-        if param.kind is inspect.Parameter.VAR_POSITIONAL:
-            return True
-        if param.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return positional >= 3
+# Signature: epoch_callback(epoch, model, eval_logits).
+EpochCallback = Callable[[int, GraphModel, np.ndarray], None]
 
 
 class Trainer:
@@ -65,12 +44,6 @@ class Trainer:
     record_history:
         When True the returned :class:`TrainResult` carries per-epoch
         train/val metrics (used by the examples and diagnostics).
-    fused:
-        ``True``/``False`` forces the fused training-step kernels on or
-        off for the duration of :meth:`fit`; ``None`` (default) keeps
-        the process-wide setting (fused on).  Both paths are bitwise
-        identical — the flag exists for differential testing and
-        benchmarking the legacy op-by-op tape.
     """
 
     def __init__(
@@ -81,8 +54,6 @@ class Trainer:
         weight_decay: float = 5e-4,
         record_history: bool = False,
         min_epochs: Optional[int] = None,
-        share_eval_forward: bool = True,
-        fused: Optional[bool] = None,
     ):
         if max_epochs < 1:
             raise TrainingError(f"max_epochs must be >= 1, got {max_epochs}")
@@ -94,19 +65,13 @@ class Trainer:
         # Early stopping only arms after a warmup: small validation sets
         # plateau by chance in the first noisy epochs.
         self.min_epochs = min_epochs if min_epochs is not None else max_epochs // 2
-        # When True, logits-accepting epoch callbacks receive the eval
-        # forward already computed for validation, so callback + val share
-        # one forward per epoch.  False reproduces the legacy schedule
-        # where the callback runs its own eval forward.
-        self.share_eval_forward = share_eval_forward
-        self.fused = fused
 
     def fit(
         self,
         model: GraphModel,
         graph: Graph,
         loss_fn: Optional[LossFn] = None,
-        epoch_callback: Optional[Callable[[int, GraphModel], None]] = None,
+        epoch_callback: Optional[EpochCallback] = None,
     ) -> TrainResult:
         """Train ``model`` on ``graph``; returns metrics of the best epoch.
 
@@ -116,14 +81,13 @@ class Trainer:
             Custom objective; defaults to cross entropy on the training
             split.  Receives ``(model, logits, epoch)``.
         epoch_callback:
-            Invoked before each epoch's forward pass — RDD uses it to
-            refresh reliability sets.  Two signatures are supported:
-            ``(epoch, model)`` (legacy) and ``(epoch, model, eval_logits)``,
-            where ``eval_logits`` are the current eval-mode logits.  With
-            ``share_eval_forward`` (the default) those logits are the ones
-            the trainer already computed for last epoch's validation pass —
-            the model has not changed in between, so the callback gets them
-            for free instead of running a duplicate forward.
+            Invoked as ``(epoch, model, eval_logits)`` before each epoch's
+            forward pass — RDD uses it to refresh reliability sets.
+            ``eval_logits`` are the current eval-mode logits: the ones the
+            trainer already computed for last epoch's validation pass (the
+            model has not changed in between), so the callback gets them
+            for free instead of running a duplicate forward.  Epoch 0
+            bootstraps them with one extra forward.
         """
         start = time.perf_counter()
         if loss_fn is None:
@@ -132,8 +96,6 @@ class Trainer:
         stopper = EarlyStopping(patience=self.patience)
         best_state = model.state_dict()
         history = []
-        wants_logits = epoch_callback is not None and _callback_wants_logits(epoch_callback)
-        share_logits = wants_logits and self.share_eval_forward
         eval_logits = None
         # One arena per fit: gradient buffers are recycled step to step,
         # and — since the per-epoch op graph is structurally static — the
@@ -142,20 +104,15 @@ class Trainer:
 
         epochs_run = 0
         fit_span = obs.span("trainer:fit", max_epochs=self.max_epochs)
-        with fit_span, use_fused_ops(self.fused):
+        with fit_span:
             for epoch in range(self.max_epochs):
                 fault_point("trainer:epoch", key=epoch)
                 epochs_run = epoch + 1
                 with obs.span("epoch", epoch=epoch) as epoch_span:
                     if epoch_callback is not None:
-                        if share_logits:
-                            if eval_logits is None:  # bootstrap forward for epoch 0 only
-                                eval_logits = model.predict_logits(graph)
-                            epoch_callback(epoch, model, eval_logits)
-                        elif wants_logits:
-                            epoch_callback(epoch, model, None)
-                        else:
-                            epoch_callback(epoch, model)
+                        if eval_logits is None:  # bootstrap forward for epoch 0 only
+                            eval_logits = model.predict_logits(graph)
+                        epoch_callback(epoch, model, eval_logits)
 
                     model.train()
                     with arena.record():

@@ -129,3 +129,26 @@ class TestDropout:
     def test_invalid_rate_raises(self, rng):
         with pytest.raises(ValueError):
             Dropout(1.0, rng)
+
+    IDENTITY_INPUTS = {
+        "ndarray": lambda: np.ones((4, 3), dtype=np.float32),
+        "tensor": lambda: Tensor(np.ones((4, 3))),
+        "csr": lambda: sp.identity(4, format="csr"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(IDENTITY_INPUTS))
+    @pytest.mark.parametrize("mode", ["eval", "rate_zero"])
+    def test_identity_returns_input_and_draws_nothing(self, kind, mode):
+        # Whenever dropout is the identity it returns its input object
+        # itself: no Tensor wrap (which would cast float32 features to
+        # the process default dtype) and no rng draw.
+        rng = np.random.default_rng(7)
+        if mode == "eval":
+            layer = Dropout(0.5, rng)
+            layer.eval()
+        else:
+            layer = Dropout(0.0, rng)  # training mode
+        x = self.IDENTITY_INPUTS[kind]()
+        state = rng.bit_generator.state
+        assert layer(x) is x
+        assert rng.bit_generator.state == state

@@ -10,6 +10,7 @@ from repro.core.config import RDDConfig
 from repro.core.rdd import RDDTrainer
 from repro.errors import ConfigError
 from repro.graph.normalize import gcn_normalize
+from repro.models.gcn import GCN
 from repro.robustness.aggregation import (
     RobustGCN,
     RobustGraphConvolution,
@@ -142,6 +143,28 @@ class TestRobustGCN:
     def test_unknown_aggregation_rejected(self, graph):
         with pytest.raises(ConfigError):
             RobustGCN(graph.num_features, graph.num_classes, make_rng(0), aggregation="nope")
+
+    @pytest.mark.parametrize("aggregation", ["soft_median", "trimmed_mean"])
+    @pytest.mark.parametrize(
+        "hidden,num_layers", [(16, 2), (8, 1), ([12, 6], 3)], ids=["2-layer", "1-layer", "3-layer"]
+    )
+    def test_initial_state_equals_gcn(self, graph, aggregation, hidden, num_layers):
+        """RobustGCN is a GCN with another layer type: same rng draws,
+        same widths, same initial parameters."""
+        robust = RobustGCN(
+            graph.num_features, graph.num_classes, make_rng(5),
+            hidden=hidden, num_layers=num_layers, aggregation=aggregation,
+        )
+        plain = GCN(
+            graph.num_features, graph.num_classes, make_rng(5),
+            hidden=hidden, num_layers=num_layers,
+        )
+        robust_state, plain_state = robust.state_dict(), plain.state_dict()
+        assert list(robust_state) == list(plain_state)
+        for name, value in plain_state.items():
+            assert robust_state[name].dtype == value.dtype
+            assert np.array_equal(robust_state[name], value), name
+        assert all(layer.aggregation == aggregation for layer in robust.layers)
 
 
 class TestRDDWiring:

@@ -5,6 +5,8 @@ parity, HTTP plumbing) is independent of accuracy, and eval-mode
 forwards are deterministic either way.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,22 @@ from repro.serving.engine import PredictionEngine
 
 GCN_OPTIONS = {"hidden": 8}
 MEMBER_WEIGHTS = (0.5, 0.3, 0.2)
+
+
+def wait_for_counters(metrics, timeout_s: float = 10.0, **minimums) -> None:
+    """Block until each named counter in ``metrics`` reaches its minimum.
+
+    The HTTP handler counts ``http_<status>`` only after the response has
+    been flushed, so a client can hold its response (and open a new
+    connection for ``/metrics``) before the handler thread counts it.
+    Waiting in process on the registry closes that window.
+    """
+    deadline = time.monotonic() + timeout_s
+    while any(metrics.counter(name) < minimum for name, minimum in minimums.items()):
+        assert time.monotonic() < deadline, (
+            f"counters never reached {minimums}: {metrics.snapshot()['counters']}"
+        )
+        time.sleep(0.005)
 
 
 def build_gcn(graph, seed: int = 3):

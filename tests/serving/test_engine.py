@@ -7,9 +7,11 @@ request validation (ServingError) and wrong-graph refusal (ArtifactError).
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro.datasets.citation import cora_like
 from repro.models.base import softmax_rows
-from repro.serving.artifacts import ArtifactError, load_artifact
+from repro.serving.artifacts import ArtifactError, ModelSpec, export_model_artifact, load_artifact
 from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 
 
@@ -194,3 +196,26 @@ class TestConstruction:
         assert engine._num_hops == 2  # GCN default num_layers
         override = PredictionEngine(gcn_artifact_path, tiny_graph, num_hops=1)
         assert override._num_hops == 1
+
+
+class TestFloat32Artifacts:
+    """A float32 artifact answers in float32 on both query paths, for
+    every built-in model kind and both feature layouts (the two-block
+    graph's features are dense, the Cora stand-in's sparse)."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, tiny_graph):
+        return {"dense": tiny_graph, "sparse": cora_like(seed=0, scale=0.05)}
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind", ["gcn", "mlp", "sgc"])
+    def test_both_query_paths_answer_float32(self, graphs, kind, layout, tmp_path):
+        graph = graphs[layout]
+        spec = ModelSpec(kind)
+        model = spec.build(graph, dtype=np.float32)
+        path = export_model_artifact(tmp_path / f"{kind}.rddart", model, spec, graph)
+        engine = PredictionEngine(path, graph)
+        assert engine.predict_nodes([0, 1, 2]).dtype == np.float32
+        row = graph.features[3]
+        features = np.asarray(row.todense() if sp.issparse(row) else row).ravel()
+        assert engine.predict_inductive(features, [3, 8]).dtype == np.float32

@@ -32,7 +32,7 @@ from repro.serving.replica import SharedLogitsTable
 from repro.serving.server import PredictionServer
 from repro.testing.faults import FaultPlan, inject
 
-from .conftest import build_gcn
+from .conftest import build_gcn, wait_for_counters
 
 NUM_NODES = 60  # tiny_graph size; strategies must stay in range
 
@@ -438,6 +438,7 @@ class TestHTTPFrontend:
                 wedged.join(timeout=30)
                 queued.join(timeout=30)
             assert [status for status, _, _ in results] == [200, 200]
+            wait_for_counters(server.metrics, http_429=1, shed_total=1, http_200=2)
             status, snapshot, _ = _call(f"{server.url}/metrics")
             assert snapshot["counters"]["http_429"] >= 1
             assert snapshot["counters"]["shed_total"] >= 1

@@ -31,6 +31,8 @@ from repro.serving.frontend import ReplicaFrontend
 from repro.serving.server import PredictionServer
 from repro.testing.faults import FaultPlan, inject
 
+from .conftest import wait_for_counters
+
 
 def _call(url: str, body=None, timeout: float = 10.0):
     """(status, payload) for a GET (body=None) or JSON POST; 4xx/5xx included."""
@@ -129,6 +131,7 @@ class TestRoutes:
     def test_metrics_populate_after_traffic(self, server):
         for _ in range(3):
             assert _call(f"{server.url}/predict", {"nodes": [1, 2]})[0] == 200
+        wait_for_counters(server.metrics, requests_total=3, http_200=3)
         status, snapshot = _call(f"{server.url}/metrics")
         assert status == 200
         assert snapshot["counters"]["requests_total"] >= 3
@@ -242,6 +245,7 @@ class TestFaultSurvival:
                 assert status == 200
                 assert payload["labels"] == engine.predict_nodes([0]).argmax(axis=1).tolist()
             assert plan.fired("serving:request") == 1
+            wait_for_counters(server.metrics, errors_total=1, http_500=1, http_200=1)
             snapshot = _call(f"{server.url}/metrics")[1]
             assert snapshot["counters"]["errors_total"] == 1
             assert snapshot["counters"]["http_500"] == 1

@@ -1,10 +1,10 @@
-"""Tests for the gradient-buffer arena and the fused-kernel switch.
+"""Tests for the gradient-buffer arena and the fused-kernel dispatch.
 
 The arena promises two things: (1) steady-state training steps reuse
 gradient buffers instead of allocating, and (2) its backward pass —
 including the cached-schedule replay — is bitwise identical to plain
 ``Tensor.backward``.  Both are load-bearing: (1) is the perf win, (2) is
-what lets the fused path stay on by default.
+what lets every trainer step through it.
 """
 
 import numpy as np
@@ -12,8 +12,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.tensor import GradArena, Tensor, fused, ops
-from repro.tensor.fused import fused_ops_enabled, set_fused_ops, use_fused_ops
 from repro.tensor.functional import masked_cross_entropy_logits
+from tests.elementary_tape import elementary_tape
 
 RNG = np.random.default_rng(11)
 
@@ -26,37 +26,6 @@ def small_loss(w1, w2, x, labels, index):
     h = ops.relu(ops.matmul(x, w1))
     logits = ops.matmul(h, w2)
     return masked_cross_entropy_logits(logits, labels, index)
-
-
-class TestFusedSwitch:
-    def test_default_on(self):
-        assert fused_ops_enabled()
-
-    def test_set_returns_previous(self):
-        previous = set_fused_ops(False)
-        try:
-            assert previous is True
-            assert not fused_ops_enabled()
-        finally:
-            set_fused_ops(previous)
-
-    def test_context_manager_restores(self):
-        with use_fused_ops(False):
-            assert not fused_ops_enabled()
-        assert fused_ops_enabled()
-
-    def test_context_manager_none_is_noop(self):
-        with use_fused_ops(None):
-            assert fused_ops_enabled()
-        with use_fused_ops(False):
-            with use_fused_ops(None):
-                assert not fused_ops_enabled()
-
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_fused_ops(False):
-                raise RuntimeError("boom")
-        assert fused_ops_enabled()
 
 
 class TestGradArenaBackward:
@@ -193,9 +162,8 @@ class TestFusedLayerDispatch:
 
         layer = Linear(4, 3, np.random.default_rng(0))
         x = Tensor(RNG.normal(size=(5, 4)))
-        with use_fused_ops(True):
-            fused_out = layer(x)
-        with use_fused_ops(False):
+        fused_out = layer(x)
+        with elementary_tape():
             legacy_out = layer(x)
         # Fused: one tape node holding all parents; legacy: an add node
         # over the matmul node.
@@ -209,9 +177,8 @@ class TestFusedLayerDispatch:
         layer = GraphConvolution(4, 3, np.random.default_rng(0))
         adj = sp.random(5, 5, density=0.4, random_state=0, format="csr")
         x = Tensor(RNG.normal(size=(5, 4)))
-        with use_fused_ops(True):
-            fused_out = layer(adj, x)
-        with use_fused_ops(False):
+        fused_out = layer(adj, x)
+        with elementary_tape():
             legacy_out = layer(adj, x)
         assert len(fused_out._parents) == 3
         assert np.array_equal(fused_out.data, legacy_out.data)

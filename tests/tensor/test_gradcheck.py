@@ -10,8 +10,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.tensor import GradArena, Tensor, check_gradients, functional, fused, ops
-from repro.tensor.fused import use_fused_ops
-from repro.tensor.sparse import sparse_feature_matmul, spmm
+from repro.tensor.sparse import spmm
+from tests import elementary_tape as elementary
 
 RNG = np.random.default_rng(7)
 
@@ -252,7 +252,8 @@ class TestFusedOpGradients:
 
 
 class TestFusedBitwiseParity:
-    """Fused ops must match the elementary chains bit for bit (float64)."""
+    """Fused ops must match the elementary chains of
+    ``tests/elementary_tape.py`` bit for bit (float64)."""
 
     def _grads(self, build, params):
         for p in params:
@@ -274,9 +275,7 @@ class TestFusedBitwiseParity:
         index = np.array([0, 2, 5, 8])
         self._assert_parity(
             lambda: fused.softmax_cross_entropy(logits, labels, index),
-            lambda: functional.cross_entropy(
-                ops.log_softmax(ops.gather(logits, index), axis=1), labels[index]
-            ),
+            lambda: elementary.softmax_cross_entropy(logits, labels, index),
             [logits],
         )
 
@@ -284,7 +283,7 @@ class TestFusedBitwiseParity:
         x, w, b = param((6, 5)), param((5, 3)), param((3,))
         self._assert_parity(
             lambda: ops.sum(ops.mul(fused.linear(x, w, b), 1.5)),
-            lambda: ops.sum(ops.mul(ops.add(ops.matmul(x, w), b), 1.5)),
+            lambda: ops.sum(ops.mul(elementary.linear(x, w, b), 1.5)),
             [x, w, b],
         )
 
@@ -293,7 +292,7 @@ class TestFusedBitwiseParity:
         w, b = param((5, 3)), param((3,))
         self._assert_parity(
             lambda: ops.sum(ops.mul(fused.linear(x, w, b), 1.5)),
-            lambda: ops.sum(ops.mul(ops.add(sparse_feature_matmul(x, w), b), 1.5)),
+            lambda: ops.sum(ops.mul(elementary.linear(x, w, b), 1.5)),
             [w, b],
         )
 
@@ -302,7 +301,7 @@ class TestFusedBitwiseParity:
         x, w, b = param((6, 4)), param((4, 3)), param((3,))
         self._assert_parity(
             lambda: ops.sum(ops.mul(fused.gcn_layer(adj, x, w, b), 1.5)),
-            lambda: ops.sum(ops.mul(ops.add(spmm(adj, ops.matmul(x, w)), b), 1.5)),
+            lambda: ops.sum(ops.mul(elementary.gcn_layer(adj, x, w, b), 1.5)),
             [x, w, b],
         )
 
@@ -312,20 +311,20 @@ class TestFusedBitwiseParity:
         w, b = param((4, 3)), param((3,))
         self._assert_parity(
             lambda: ops.sum(ops.mul(fused.gcn_layer(adj, x, w, b), 1.5)),
-            lambda: ops.sum(ops.mul(ops.add(spmm(adj, sparse_feature_matmul(x, w)), b), 1.5)),
+            lambda: ops.sum(ops.mul(elementary.gcn_layer(adj, x, w, b), 1.5)),
             [w, b],
         )
 
     def test_masked_cross_entropy_logits_dispatch_parity(self):
-        # The functional seam itself: fused on vs off, same everything.
+        # The functional seam itself: fused vs the elementary tape,
+        # same everything.
         logits = param((10, 3))
         labels = RNG.integers(0, 3, size=10)
         index = np.array([1, 4, 7, 9])
-        with use_fused_ops(True):
-            fused_loss, fused_grads = self._grads(
-                lambda: functional.masked_cross_entropy_logits(logits, labels, index), [logits]
-            )
-        with use_fused_ops(False):
+        fused_loss, fused_grads = self._grads(
+            lambda: functional.masked_cross_entropy_logits(logits, labels, index), [logits]
+        )
+        with elementary.elementary_tape():
             legacy_loss, legacy_grads = self._grads(
                 lambda: functional.masked_cross_entropy_logits(logits, labels, index), [logits]
             )
@@ -348,7 +347,7 @@ class TestFusedBitwiseParity:
         fused_loss, fused_grads = self._grads(fused_build, [x_fused])
         legacy_loss, legacy_grads = self._grads(
             lambda: ops.sum(
-                ops.mul(ops.dropout(x_legacy, 0.35, np.random.default_rng(23)), 1.5)
+                ops.mul(elementary.dropout(x_legacy, 0.35, np.random.default_rng(23)), 1.5)
             ),
             [x_legacy],
         )

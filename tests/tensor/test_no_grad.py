@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.datasets.citation import cora_like
+from repro.graph.graph import Graph
 from repro.models.gcn import GCN
 from repro.tensor import Tensor, check_gradients, ops
 from repro.tensor.sparse import (
@@ -19,7 +20,7 @@ from repro.tensor.sparse import (
     sparse_feature_matmul,
     spmm,
 )
-from repro.tensor.tensor import enable_grad, is_grad_enabled, no_grad
+from repro.tensor.tensor import default_dtype, enable_grad, is_grad_enabled, no_grad
 
 RNG = np.random.default_rng(11)
 
@@ -152,8 +153,8 @@ class TestInferenceParity:
         assert np.array_equal(taped, untaped)
 
     def test_layered_and_fused_inference_identical(self):
-        # GCN._inference (the fused raw-ndarray path) must match the
-        # generic layer-by-layer no_grad path bitwise.
+        # The generic layer-by-layer no_grad path must match the model's
+        # eval forward bitwise.
         graph = cora_like(seed=1, scale=0.05)
         model = GCN(graph.num_features, graph.num_classes, np.random.default_rng(1))
         model.eval()
@@ -162,7 +163,6 @@ class TestInferenceParity:
             h = model.layers[0](adjacency, graph.features)
             h = model.layers[1](adjacency, ops.relu(h))
             layered = h.data
-        assert np.array_equal(layered, model._inference(graph))
         assert np.array_equal(layered, model.predict_logits(graph))
 
     def test_training_mode_under_no_grad_keeps_dropout(self):
@@ -175,6 +175,65 @@ class TestInferenceParity:
         with no_grad():
             train_logits = model(graph).data
         assert not np.array_equal(eval_logits, train_logits)
+
+
+def _raw_inference_reference(model: GCN, graph: Graph) -> np.ndarray:
+    """The raw-ndarray eval forward GCN used to carry as a second copy
+    (``GCN._inference``), kept verbatim as the reference for the one
+    forward that replaced it."""
+    adjacency = graph.normalized_adjacency()
+    h = graph.features
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        if sp.issparse(h):
+            support = sparse_dense_matmul(h.tocsr(), layer.weight.data)
+        else:
+            support = h @ layer.weight.data
+        h = sparse_dense_matmul(adjacency, support)
+        if layer.bias is not None:
+            h += layer.bias.data
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+class TestEvalForwardMatchesRawReference:
+    """``GCN.predict_logits`` runs the model's one forward through the
+    layers' ``no_grad`` branches; it must equal the raw reference in
+    value, sign bit and dtype — for models built under a non-default
+    dtype and evaluated outside it, as serving does."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        sparse = cora_like(seed=2, scale=0.05)
+        dense = Graph(
+            sparse.adjacency,
+            sparse.features.toarray(),
+            sparse.labels,
+            sparse.train_index,
+            sparse.val_index,
+            sparse.test_index,
+        )
+        return {"sparse": sparse, "dense": dense}
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_logits_matches_reference(self, graphs, dtype, layout, num_layers):
+        graph = graphs[layout].astype(dtype)
+        with default_dtype(dtype):
+            model = GCN(
+                graph.num_features,
+                graph.num_classes,
+                np.random.default_rng(num_layers),
+                hidden=8,
+                num_layers=num_layers,
+            )
+        logits = model.predict_logits(graph)
+        reference = _raw_inference_reference(model, graph)
+        assert logits.dtype == reference.dtype == dtype
+        assert np.array_equal(logits, reference)
+        assert np.array_equal(np.signbit(logits), np.signbit(reference))
 
 
 class TestGradcheckOutsideContext:

@@ -4,8 +4,8 @@ Two families of redundancy exist in the runtime and both are easy to
 break silently:
 
 * every model has a taped forward (autodiff tape built, used in
-  training) and a no-grad inference path (``predict_logits``; GCN even
-  switches to a fused kernel there) — the two must produce identical
+  training) and a no-grad inference path (``predict_logits``, through
+  the layers' raw-ndarray branches) — the two must produce identical
   logits, or evaluation would diverge from what training optimized;
 * the multi-seed harness has a serial path and a process-pool path —
   with per-task spawned generators they must produce identical results,
@@ -25,6 +25,7 @@ from repro.core import RDDConfig, RDDTrainer
 from repro.training import parallel
 from repro.training.trainer import Trainer
 from repro.training.records import results_bitwise_equal
+from tests.elementary_tape import elementary_tape
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -104,26 +105,31 @@ class TestWorkerCountParity:
 
 
 class TestFusedVsLegacyTraining:
-    """The fused training-step kernels (and the gradient-buffer arena
-    they run under) must leave every trained model bitwise identical to
-    the legacy op-by-op tape — the guarantee that lets the fused path be
-    the default."""
+    """The fused training-step kernels must leave every trained model
+    bitwise identical to the legacy op-by-op tape (the elementary chains
+    of ``tests/elementary_tape.py``) — the guarantee that lets the fused
+    kernels be the only taped path."""
 
     @pytest.mark.parametrize("name", MODEL_ZOO)
     def test_zoo_trains_bitwise_identical(self, name, graph):
-        def train(fused):
+        def train():
             model = make_model(name, graph)
-            trainer = Trainer(max_epochs=8, patience=8, record_history=True, fused=fused)
+            trainer = Trainer(max_epochs=8, patience=8, record_history=True)
             return trainer.fit(model, graph)
 
-        assert results_bitwise_equal(train(True), train(False))
+        fused = train()
+        with elementary_tape():
+            legacy = train()
+        assert results_bitwise_equal(fused, legacy)
 
     def test_rdd_trains_bitwise_identical(self, graph):
-        def run(fused):
+        def run():
             config = RDDConfig(
-                num_base_models=2, max_epochs=6, patience=6, hidden=8,
-                record_history=True, fused=fused,
+                num_base_models=2, max_epochs=6, patience=6, hidden=8, record_history=True
             )
             return RDDTrainer(config).fit(graph, seed=0)
 
-        assert results_bitwise_equal(run(True), run(False))
+        fused = run()
+        with elementary_tape():
+            legacy = run()
+        assert results_bitwise_equal(fused, legacy)

@@ -66,7 +66,7 @@ class TestCustomization:
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
         seen = []
         Trainer(max_epochs=4, min_epochs=1).fit(
-            model, tiny_graph, epoch_callback=lambda e, m: seen.append((e, m is model))
+            model, tiny_graph, epoch_callback=lambda e, m, logits: seen.append((e, m is model))
         )
         assert seen == [(0, True), (1, True), (2, True), (3, True)]
 
