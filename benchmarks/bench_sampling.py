@@ -6,8 +6,8 @@ guarded by ``scripts/check_bench.py --bench sampling``):
 
 1. **Sampler speed** — the vectorized CSR kernel
    (:func:`repro.sampling.sample_adjacent`) must beat the per-node
-   Python loop it replaced (kept as
-   :func:`repro.graph.sampling._sample_neighbors_loop`) by at least
+   Python loop it replaced (kept as ``_sample_neighbors_loop`` in
+   ``tests/sampling/loop_sampler.py``) by at least
    :data:`SAMPLER_FLOOR` on a 10k-seed batch of a dense-degree DC-SBM.
 
 2. **Memory-boundedness** — on an SBM graph **10× larger** than the
@@ -107,8 +107,8 @@ def make_sampler_graph(seed: int = 0):
 # 1. Sampler kernel speedup (vectorized vs per-node loop)
 # ----------------------------------------------------------------------
 def sampler_speedup(quick: bool = False) -> Dict[str, object]:
-    from repro.graph.sampling import _sample_neighbors_loop
     from repro.sampling import NeighborSampler
+    from tests.sampling.loop_sampler import _sample_neighbors_loop
 
     adjacency = make_sampler_graph()
     rng = np.random.default_rng(1)

@@ -18,9 +18,10 @@ from __future__ import annotations
 import time
 
 from repro import pubmed_like
-from repro.graph import build_blocks
-from repro.models import GraphSAGE, MiniBatchSAGETrainer
+from repro.models import GraphSAGE
+from repro.sampling import BlockBuilder
 from repro.training import Trainer, make_rng
+from repro.training.sampled import SampledTrainer
 
 
 def main() -> None:
@@ -36,16 +37,17 @@ def main() -> None:
 
     # Minibatch: sampled 2-layer neighborhoods, 32 seeds per step.
     start = time.perf_counter()
-    trainer = MiniBatchSAGETrainer(fanouts=(5, 5), batch_size=32, epochs=25)
-    mini_result = trainer.fit(graph, seed=0, hidden=16)
+    mini = GraphSAGE(graph.num_features, graph.num_classes, make_rng(0), hidden=16)
+    trainer = SampledTrainer(fanouts=(5, 5), batch_size=32, max_epochs=25, patience=25)
+    mini_result = trainer.fit(mini, graph)
     print(f"minibatch GraphSAGE  : {mini_result.summary()} "
           f"({time.perf_counter() - start:.1f}s)")
 
     # Show how small one sampled computation graph actually is.
-    blocks = build_blocks(graph.adjacency, graph.train_index[:32], (5, 5), make_rng(1))
-    print(f"\none minibatch touches {len(blocks[0].input_nodes)} of "
+    batch = BlockBuilder(graph.adjacency, (5, 5), seed=1).build(graph.train_index[:32])
+    print(f"\none minibatch touches {len(batch.input_nodes)} of "
           f"{graph.num_nodes} nodes "
-          f"({len(blocks[0].input_nodes) / graph.num_nodes:.1%} of the graph)")
+          f"({len(batch.input_nodes) / graph.num_nodes:.1%} of the graph)")
     print("Expected: comparable accuracy, with per-step cost independent of graph size.")
 
 

@@ -81,7 +81,7 @@ class RDDConfig:
     # batch_size × prod(fanouts) instead of the graph.
     sampler: str = "full"
     # Per-layer fanouts, ordered from the output layer inward (the
-    # build_blocks convention).  Only used when sampler="neighbor".
+    # BlockBuilder convention).  Only used when sampler="neighbor".
     fanouts: "tuple[int, ...]" = (10, 10)
     batch_size: int = 512
     # Reliability-prioritized sampling (sampler="neighbor" students

@@ -8,11 +8,10 @@ from repro.graph.normalize import (
     row_normalize,
     row_normalize_features,
 )
-from repro.graph.sampling import SampledBlock, build_blocks, minibatches, sample_neighbors
 from repro.graph.pagerank import pagerank, personalized_propagation_matrix
 from repro.graph.subgraph import InductiveSplit, induced_subgraph, make_inductive_split
 from repro.graph.stats import GraphStats, edge_homophily, summarize
-from repro.graph.walks import batch_random_walks, random_walk, sample_walks, walk_visit_counts
+from repro.graph.walks import batch_random_walks
 
 __all__ = [
     "Graph",
@@ -26,10 +25,6 @@ __all__ = [
     "row_normalize_features",
     "add_self_loops",
     "pagerank",
-    "sample_neighbors",
-    "build_blocks",
-    "minibatches",
-    "SampledBlock",
     "induced_subgraph",
     "make_inductive_split",
     "InductiveSplit",
@@ -37,8 +32,5 @@ __all__ = [
     "GraphStats",
     "edge_homophily",
     "summarize",
-    "random_walk",
     "batch_random_walks",
-    "sample_walks",
-    "walk_visit_counts",
 ]

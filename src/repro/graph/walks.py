@@ -1,43 +1,11 @@
-"""Random-walk utilities.
-
-Used by the Co-Training baseline (which complements the GCN with a
-random-walk view of the graph, following Li et al. 2018) and available as
-a general substrate for walk-based methods.
-"""
+"""Random walks: the skip-gram context sampler of the Planetoid baseline."""
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
-
-
-def random_walk(
-    adjacency: sp.spmatrix,
-    start: int,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """A single uniform random walk of ``length`` steps from ``start``.
-
-    The walk stops early at a node with no neighbors.  Returns the visited
-    node sequence including the start node.
-    """
-    if length < 0:
-        raise GraphError(f"walk length must be nonnegative, got {length}")
-    csr = adjacency.tocsr()
-    path = [int(start)]
-    current = int(start)
-    for _ in range(length):
-        neighbors = csr.indices[csr.indptr[current] : csr.indptr[current + 1]]
-        if len(neighbors) == 0:
-            break
-        current = int(rng.choice(neighbors))
-        path.append(current)
-    return np.asarray(path, dtype=np.int64)
 
 
 def batch_random_walks(
@@ -51,7 +19,6 @@ def batch_random_walks(
     Returns a ``(len(starts), length + 1)`` matrix of node ids.  A walk
     that reaches a node without neighbors stays there (the trailing
     repeats can be filtered by callers via ``path[i] != path[i+1]``).
-    Orders of magnitude faster than per-node :func:`random_walk` loops.
     """
     if length < 0:
         raise GraphError(f"walk length must be nonnegative, got {length}")
@@ -74,42 +41,3 @@ def batch_random_walks(
         walks[:, step] = current
     return walks
 
-
-def sample_walks(
-    adjacency: sp.spmatrix,
-    walks_per_node: int,
-    length: int,
-    rng: np.random.Generator,
-) -> List[np.ndarray]:
-    """Sample ``walks_per_node`` walks from every node."""
-    n = adjacency.shape[0]
-    walks = []
-    for node in range(n):
-        for _ in range(walks_per_node):
-            walks.append(random_walk(adjacency, node, length, rng))
-    return walks
-
-
-def walk_visit_counts(
-    adjacency: sp.spmatrix,
-    seeds: np.ndarray,
-    walks_per_seed: int,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Visit frequencies over all nodes for walks started at ``seeds``.
-
-    This is a Monte-Carlo estimate of the absorbing random-walk affinity
-    used by Co-Training to score how strongly each node associates with a
-    labeled seed set.
-    """
-    n = adjacency.shape[0]
-    counts = np.zeros(n, dtype=np.float64)
-    for seed in np.asarray(seeds, dtype=np.int64):
-        for _ in range(walks_per_seed):
-            path = random_walk(adjacency, int(seed), length, rng)
-            np.add.at(counts, path, 1.0)
-    total = counts.sum()
-    if total > 0:
-        counts /= total
-    return counts

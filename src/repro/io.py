@@ -1,8 +1,8 @@
-"""Persistence helpers: model checkpoints (.npz) and report files (.json).
+"""Report files (.json): the structured rows of the evaluation harnesses.
 
-Checkpoints store a module's state dict; reports store the structured
-rows produced by the evaluation harnesses, so experiment outputs survive
-the process and EXPERIMENTS.md can be regenerated without retraining.
+Reports let experiment outputs survive the process, so EXPERIMENTS.md can
+be regenerated without retraining.  Model weights persist as serving
+artifacts (:func:`repro.serving.export_model_artifact`).
 """
 
 from __future__ import annotations
@@ -15,25 +15,8 @@ from typing import Union
 import numpy as np
 
 from repro.evaluation.common import ExperimentReport
-from repro.nn.module import Module
 
 PathLike = Union[str, Path]
-
-
-def save_checkpoint(model: Module, path: PathLike) -> None:
-    """Write ``model``'s state dict to an ``.npz`` file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    state = model.state_dict()
-    # npz keys cannot contain '/', dots are fine.
-    np.savez(path, **state)
-
-
-def load_checkpoint(model: Module, path: PathLike) -> None:
-    """Load a state dict written by :func:`save_checkpoint` into ``model``."""
-    with np.load(Path(path)) as archive:
-        state = {name: archive[name] for name in archive.files}
-    model.load_state_dict(state)
 
 
 def _json_safe(value):

@@ -8,10 +8,9 @@ from repro.models.dgcn import DGCN, ppmi_matrix
 from repro.models.gat import GAT
 from repro.models.gcn import GCN
 from repro.models.gpnn import GPNN, partition_graph, split_propagation_matrices
-from repro.models.graphsage import GraphSAGE
+from repro.models.graphsage import GraphSAGE, SAGEConvolution
 from repro.models.lgcn import LGCN, k_largest_neighbor_features
 from repro.models.jknet import JKNet
-from repro.models.minibatch_sage import MiniBatchSAGETrainer
 from repro.models.mlp import MLP
 from repro.models.ngcn import NGCN
 from repro.models.resgcn import ResGCN
@@ -29,7 +28,7 @@ __all__ = [
     "MLP",
     "SGC",
     "GraphSAGE",
-    "MiniBatchSAGETrainer",
+    "SAGEConvolution",
     "NGCN",
     "DGCN",
     "LGCN",

@@ -95,7 +95,9 @@ class ChebNet(GraphModel):
 
     def _laplacian_for(self, graph: Graph) -> sp.csr_matrix:
         if self._laplacian_key is not graph:
-            self._laplacian = rescaled_laplacian(graph.adjacency)
+            self._laplacian = rescaled_laplacian(graph.adjacency).astype(
+                graph.features.dtype, copy=False
+            )
             self._laplacian_key = graph
         return self._laplacian
 

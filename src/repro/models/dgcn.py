@@ -90,7 +90,9 @@ class DGCN(GraphModel):
 
     def _ppmi_for(self, graph: Graph) -> sp.csr_matrix:
         if self._ppmi_key is not graph:
-            self._ppmi = ppmi_matrix(graph.adjacency, walk_length=self.walk_length)
+            self._ppmi = ppmi_matrix(graph.adjacency, walk_length=self.walk_length).astype(
+                graph.features.dtype, copy=False
+            )
             self._ppmi_key = graph
         return self._ppmi
 

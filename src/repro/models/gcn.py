@@ -9,12 +9,14 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel
 from repro.nn.layers import Dropout, GraphConvolution
 from repro.nn.module import Module, ModuleList
+from repro.sampling.blocks import Block
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 
@@ -75,3 +77,7 @@ class GCN(GraphModel):
             if i < len(self.layers) - 1:
                 h = ops.relu(h)
         return h
+
+    def block_adjacency(self, block: Block) -> sp.spmatrix:
+        """The matrix a layer aggregates with over a sampled ``block``."""
+        return block.adjacency

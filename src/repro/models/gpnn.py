@@ -105,8 +105,9 @@ class GPNN(GraphModel):
             self._assignment = partition_graph(
                 graph.adjacency, self.num_partitions, seed=self.partition_seed
             )
-            self._intra, self._inter = split_propagation_matrices(
-                graph.adjacency, self._assignment
+            self._intra, self._inter = (
+                matrix.astype(graph.features.dtype, copy=False)
+                for matrix in split_propagation_matrices(graph.adjacency, self._assignment)
             )
             self._cache_key = graph
         return self._intra, self._inter

@@ -1,11 +1,12 @@
-"""GraphSAGE (Hamilton et al., 2017) with mean aggregation, full-batch.
+"""GraphSAGE (Hamilton et al., 2017) with mean aggregation.
 
 Each layer concatenates a node's own representation with the mean of its
 neighbors' and applies a linear transform: ``h_v' = ReLU(W [h_v || mean
 neighbors])``.  The paper's related work cites GraphSAGE as the canonical
 spatial GCN; it is included so the model zoo spans both spectral and
-spatial designs.  Mean aggregation over all neighbors is exact (no
-sampling) — appropriate for the citation-scale graphs used here.
+spatial designs.  The full-batch forward aggregates over all neighbors
+(exact); :class:`~repro.training.sampled.SampledTrainer` trains the same
+model on sampled blocks through :meth:`GraphSAGE.block_adjacency`.
 """
 
 from __future__ import annotations
@@ -13,50 +14,69 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.graph.normalize import row_normalize
-from repro.models.base import GraphModel
-from repro.nn.layers import Dropout, Linear
-from repro.nn.module import ModuleList
+from repro.models.gcn import GCN
+from repro.nn.layers import FeatureInput, Linear
+from repro.sampling.blocks import Block
 from repro.tensor import ops
 from repro.tensor.sparse import spmm
 from repro.tensor.tensor import Tensor, as_tensor
 
 
-class GraphSAGE(GraphModel):
-    """Full-batch GraphSAGE-mean."""
+def _dense(x: FeatureInput) -> FeatureInput:
+    return np.asarray(x.todense()) if sp.issparse(x) else x
 
-    def __init__(
-        self,
-        num_features: int,
-        num_classes: int,
-        rng: np.random.Generator,
-        hidden: int = 16,
-        num_layers: int = 2,
-        dropout: float = 0.5,
-    ):
-        super().__init__()
-        if num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
-        dims = [num_features] + [hidden] * (num_layers - 1) + [num_classes]
-        # Each layer maps concat(self, neighbor-mean): 2*in -> out.
-        self.layers = ModuleList(
-            Linear(2 * dims[i], dims[i + 1], rng) for i in range(num_layers)
-        )
-        self.dropout = Dropout(dropout, rng)
+
+class SAGEConvolution(Linear):
+    """One GraphSAGE-mean layer with GCN's contract, ``layer(adjacency, h)``.
+
+    ``adjacency`` is the (outputs × inputs) neighbor-mean matrix, without
+    self loops.  Output ``i`` is input ``i``, as in a sampled block; the
+    full graph is the square case.  The weight maps
+    ``[h_self || neighbor mean]``, so it is a ``Linear(2 * in, out)``.
+    """
+
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+        super().__init__(2 * in_features, out_features, rng)
+
+    def forward(self, adjacency: sp.spmatrix, x: FeatureInput) -> Tensor:
+        x = as_tensor(_dense(x))
+        neighbor_mean = spmm(adjacency.astype(x.dtype, copy=False), x)
+        num_out = adjacency.shape[0]
+        own = x if num_out == x.shape[0] else x[:num_out]
+        return super().forward(ops.concat([own, neighbor_mean], axis=1))
+
+
+class GraphSAGE(GCN):
+    """GraphSAGE-mean: a :class:`GCN` whose layers are :class:`SAGEConvolution`."""
+
+    def _layer(self, in_features: int, out_features: int, rng: np.random.Generator) -> SAGEConvolution:
+        return SAGEConvolution(in_features, out_features, rng)
 
     def forward(self, graph: Graph) -> Tensor:
         # Row-normalized adjacency without self loops = neighbor mean.
-        mean_matrix = row_normalize(graph.adjacency, self_loops=False)
-        h = graph.features
-        if sp.issparse(h):
-            h = np.asarray(h.todense())
-        h = as_tensor(h)
+        # Features are densified before dropout, so the masks are drawn
+        # over every entry, zeros included.
+        adjacency = row_normalize(graph.adjacency, self_loops=False)
+        h = as_tensor(_dense(graph.features))
         for i, layer in enumerate(self.layers):
             h = self.dropout(h)
-            neighbor_mean = spmm(mean_matrix, h)
-            h = layer(ops.concat([h, neighbor_mean], axis=1))
+            h = layer(adjacency, h)
             if i < len(self.layers) - 1:
                 h = ops.relu(h)
         return h
+
+    def block_adjacency(self, block: Block) -> sp.csr_matrix:
+        """Neighbor-mean matrix over ``block``'s sampled edges.
+
+        The block's self loops are dropped, so an output node with no
+        sampled neighbor gets a zero mean, as in the full-batch forward.
+        """
+        structure = block.adjacency.tocoo()
+        edges = structure.row != structure.col
+        rows, cols = structure.row[edges], structure.col[edges]
+        neighbors = sp.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=block.adjacency.shape
+        )
+        return row_normalize(neighbors, self_loops=False)

@@ -3,9 +3,8 @@
 One vectorized CSR sampling kernel (:mod:`repro.sampling.neighbor`)
 feeds every sampled code path: mini-batch training blocks
 (:mod:`repro.sampling.blocks`), seed batching
-(:mod:`repro.sampling.items`), the legacy
-:func:`repro.graph.sampling.sample_neighbors` API, and the serving
-engine's inductive context expansion
+(:mod:`repro.sampling.items`), and the serving engine's inductive
+context expansion
 (:func:`~repro.sampling.neighbor.layerwise_neighborhood`).
 """
 

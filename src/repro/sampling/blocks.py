@@ -165,13 +165,17 @@ class BlockBuilder:
         same matrix :func:`gcn_normalize` consumes.
     fanouts:
         Per-layer fanouts ordered from the *output* layer inward
-        (``fanouts[0]`` samples the last layer's neighbors), matching
-        the :func:`repro.graph.sampling.build_blocks` convention.
+        (``fanouts[0]`` samples the last layer's neighbors).
     seed / rng:
         Sampling stream; full-fanout builds consume no randomness.
     weights:
         Optional per-node neighbor-selection weights (RDD reliability
         prioritization); see :meth:`NeighborSampler.set_weights`.
+    dtype:
+        Dtype of the block values.  They are computed in float64 and
+        cast once as they are written, just as ``Graph.astype`` casts
+        the float64 global Â, so full-fanout rows stay bitwise equal to
+        it at any dtype.
     """
 
     def __init__(
@@ -181,6 +185,7 @@ class BlockBuilder:
         seed: int = 0,
         rng: Optional[np.random.Generator] = None,
         weights: Optional[np.ndarray] = None,
+        dtype=np.float64,
     ):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) == 0:
@@ -188,6 +193,7 @@ class BlockBuilder:
         if any(f < 1 for f in fanouts):
             raise GraphError(f"fanouts must all be >= 1, got {fanouts}")
         self.fanouts = fanouts
+        self.dtype = np.dtype(dtype)
         self.sampler = NeighborSampler(adjacency, seed=seed, rng=rng, weights=weights)
         # Global D̂^{-1/2} with d̂ = degree + 1, computed with the same
         # float expression as gcn_normalize so block entries can be
@@ -240,10 +246,11 @@ class BlockBuilder:
              (self.inv_sqrt[src] * np.repeat(inv_cur, counts)) * np.repeat(rescale, counts)]
         )
 
-        # Canonical CSR (row-major, sorted columns) into leased buffers;
-        # cols < num_in, so the key orders by row, then column.
+        # Canonical CSR (row-major, sorted columns) into leased buffers,
+        # casting the values to the block dtype on the way in; cols <
+        # num_in, so the key orders by row, then column.
         order = np.argsort(rows * num_in + cols, kind="stable")
-        data = self._pool.take((layer, "data"), total, np.float64)
+        data = self._pool.take((layer, "data"), total, self.dtype)
         indices = self._pool.take((layer, "indices"), total, np.int64)
         indptr = self._pool.take((layer, "indptr"), num_out + 1, np.int64)
         np.take(vals, order, out=data)

@@ -12,9 +12,9 @@ no sockets, no queues, just "artifact + graph in, logits out":
 * **inductive** queries (nodes unseen at training time, given as a
   feature vector plus edges into the known graph) build a query
   subgraph around the attachment points — sampled layer-wise
-  neighborhoods in the style of ``minibatch_sage``, carved out with
-  :func:`repro.graph.subgraph.induced_subgraph` — run the model on that
-  small graph, and read off the query node's row.  Results are memoized
+  neighborhoods (:func:`repro.sampling.layerwise_neighborhood`), carved
+  out with :func:`repro.graph.subgraph.induced_subgraph` — run the model
+  on that small graph, and read off the query node's row.  Results are memoized
   in a :class:`~repro.serving.cache.TieredCache` keyed by the query's
   content: a cold LRU admission tier under a frequency-promoted hot
   tier, so repeated queries (health probes, hot entities) cost a dict

@@ -25,7 +25,8 @@ matrices, RNG positions).  Like all pickle-based formats the files are
 only safe to load from trusted local checkpoint directories.
 
 This is durability for *harness progress*; per-model weight snapshots
-remain in :mod:`repro.io` (``save_checkpoint``/``load_checkpoint``).
+are serving artifacts (:mod:`repro.serving.artifacts`), which are
+written in this same format.
 """
 
 from __future__ import annotations

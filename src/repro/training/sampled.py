@@ -88,15 +88,16 @@ class SampledTrainer(Trainer):
     """Neighbor-sampled mini-batch trainer for GCN-family models.
 
     The model must expose ``layers`` (a sequence of modules callable as
-    ``layer(adjacency, h)``) and ``dropout`` — the :class:`GCN` contract.
+    ``layer(adjacency, h)``), ``dropout`` and ``block_adjacency(block)``,
+    the matrix its layers aggregate with over a sampled block — the
+    :class:`GCN` contract, which :class:`GraphSAGE` shares.
 
     Parameters
     ----------
     fanouts:
-        Per-layer fanouts ordered from the *output* layer inward (the
-        :func:`repro.graph.sampling.build_blocks` convention).  An int
-        replicates across all layers; a sequence must have one entry per
-        model layer.
+        Per-layer fanouts ordered from the *output* layer inward
+        (:class:`BlockBuilder`'s convention).  An int replicates across
+        all layers; a sequence must have one entry per model layer.
     batch_size:
         Seed nodes per optimizer step.
     sample_seed:
@@ -135,9 +136,14 @@ class SampledTrainer(Trainer):
     # ------------------------------------------------------------------
     def _model_fanouts(self, model: GraphModel) -> tuple:
         layers = getattr(model, "layers", None)
-        if layers is None or getattr(model, "dropout", None) is None:
+        if (
+            layers is None
+            or getattr(model, "dropout", None) is None
+            or not hasattr(model, "block_adjacency")
+        ):
             raise TrainingError(
-                "SampledTrainer needs a GCN-family model exposing .layers and .dropout"
+                "SampledTrainer needs a GCN-family model exposing .layers, .dropout "
+                "and .block_adjacency"
             )
         num_layers = len(layers)
         fanouts = self.fanouts
@@ -163,7 +169,7 @@ class SampledTrainer(Trainer):
         last = len(batch.blocks) - 1
         for i, layer in enumerate(model.layers):
             h = model.dropout(h)
-            h = layer(batch.blocks[i].adjacency, h)
+            h = layer(model.block_adjacency(batch.blocks[i]), h)
             if i < last:
                 h = ops.relu(h)
         return h
@@ -208,7 +214,9 @@ class SampledTrainer(Trainer):
         shuffle_rng, neighbor_rng = (
             np.random.default_rng(s) for s in np.random.SeedSequence(self.sample_seed).spawn(2)
         )
-        builder = BlockBuilder(graph.adjacency, fanouts, rng=neighbor_rng)
+        builder = BlockBuilder(
+            graph.adjacency, fanouts, rng=neighbor_rng, dtype=graph.normalized_adjacency().dtype
+        )
         arena = GradArena()
         obs_on = obs.enabled()
 

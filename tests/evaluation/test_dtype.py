@@ -8,11 +8,22 @@ result on the Cora stand-in.
 import numpy as np
 import pytest
 
+import repro.models as models
 from repro.datasets.citation import cora_like
 from repro.datasets.registry import load_dataset
 from repro.evaluation.common import HarnessConfig, load_graphs, run_over_seeds, run_single_gcn
 from repro.models.gcn import GCN
 from repro.tensor.tensor import default_dtype, get_default_dtype
+
+ZOO = [
+    "GCN", "ResGCN", "DenseGCN", "JKNet", "GAT", "APPNP", "MLP", "SGC",
+    "GraphSAGE", "NGCN", "DGCN", "LGCN", "GPNN", "ChebNet",
+]
+
+
+@pytest.fixture(scope="module")
+def cora32():
+    return cora_like(seed=0, scale=0.05).astype("float32")
 
 
 class TestDtypePropagation:
@@ -38,6 +49,20 @@ class TestDtypePropagation:
         for param in model.parameters():
             assert param.data.dtype == np.float32
         assert model.predict_logits(graph).dtype == np.float32
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_zoo_model_computes_in_float32(self, cora32, name):
+        # Models that build their own propagation matrix must cast it to
+        # the feature dtype, or the sparse product upcasts to float64.
+        with default_dtype("float32"):
+            model = getattr(models, name)(
+                cora32.num_features, cora32.num_classes, np.random.default_rng(0)
+            )
+            model.train()
+            taped = model(cora32)
+            logits = model.predict_logits(cora32)
+        assert taped.data.dtype == np.float32
+        assert logits.dtype == np.float32
 
     def test_float64_default_untouched(self):
         graph = cora_like(seed=0, scale=0.05)

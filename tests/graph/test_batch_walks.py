@@ -34,8 +34,8 @@ class TestBatchRandomWalks:
         np.testing.assert_array_equal(walks[0], [2, 2, 2, 2, 2])
 
     def test_matches_per_node_walk_distribution(self):
-        # Statistical agreement with the scalar sampler on a star graph:
-        # from the center, each leaf should be visited uniformly.
+        # Steps choose uniformly among neighbors, as a per-node walk
+        # does: from the center of a star, each leaf is equally likely.
         adj = build_adjacency(5, np.array([[0, 1], [0, 2], [0, 3], [0, 4]]))
         rng = np.random.default_rng(0)
         walks = batch_random_walks(adj, np.zeros(4000, dtype=np.int64), 1, rng)

@@ -1,15 +1,28 @@
-"""Tests for neighbor sampling and minibatch block construction."""
+"""Neighbor sampling and minibatch block construction, end to end.
+
+Exercises the ``repro.sampling`` stack the way a training loop uses it:
+fanout sampling, layer blocks, seed batches, and sampled GraphSAGE.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
-from repro.graph import build_adjacency, build_blocks, minibatches, sample_neighbors
+from repro.errors import GraphError, TrainingError
+from repro.graph import build_adjacency
+from repro.models import GraphSAGE
+from repro.sampling import BlockBuilder, ItemSampler, NeighborSampler
+from repro.training import make_rng
+from repro.training.sampled import SampledTrainer
 
 
 def star_graph(leaves=8):
     edges = np.array([[0, i] for i in range(1, leaves + 1)])
     return build_adjacency(leaves + 1, edges)
+
+
+def sample_neighbors(adjacency, nodes, fanout, rng):
+    src, dst, _ = NeighborSampler(adjacency, rng=rng).sample(nodes, fanout)
+    return src, dst
 
 
 class TestSampleNeighbors:
@@ -30,15 +43,13 @@ class TestSampleNeighbors:
         src, _ = sample_neighbors(adj, np.array([0]), fanout=8, rng=rng)
         assert len(set(src)) == len(src)
 
-    def test_isolated_node_gets_self_edge(self, rng):
-        adj = build_adjacency(3, np.array([[0, 1]]))
-        src, dst = sample_neighbors(adj, np.array([2]), fanout=4, rng=rng)
-        np.testing.assert_array_equal(src, [2])
-        np.testing.assert_array_equal(dst, [2])
-
     def test_invalid_fanout(self, rng):
         with pytest.raises(GraphError):
             sample_neighbors(star_graph(), np.array([0]), fanout=0, rng=rng)
+
+
+def build_blocks(adjacency, seeds, fanouts, rng):
+    return BlockBuilder(adjacency, fanouts, rng=rng).build(seeds).blocks
 
 
 class TestBuildBlocks:
@@ -61,14 +72,15 @@ class TestBuildBlocks:
     def test_local_indices_in_range(self, tiny_graph, rng):
         blocks = build_blocks(tiny_graph.adjacency, tiny_graph.train_index[:4], (4, 4), rng)
         for block in blocks:
-            assert block.edge_src.max() < len(block.input_nodes)
-            assert block.edge_dst.max() < len(block.output_nodes)
+            assert block.adjacency.indices.max() < len(block.input_nodes)
+            assert block.adjacency.shape[0] == len(block.output_nodes)
 
     def test_edges_exist_in_graph_or_are_self_loops(self, tiny_graph, rng):
         blocks = build_blocks(tiny_graph.adjacency, tiny_graph.train_index[:4], (3,), rng)
         adj = tiny_graph.adjacency
         block = blocks[0]
-        for ls, ld in zip(block.edge_src, block.edge_dst):
+        coo = block.adjacency.tocoo()
+        for ld, ls in zip(coo.row, coo.col):
             u = block.input_nodes[ls]
             v = block.output_nodes[ld]
             assert u == v or adj[u, v] == 1.0
@@ -76,6 +88,10 @@ class TestBuildBlocks:
     def test_empty_fanouts_rejected(self, tiny_graph, rng):
         with pytest.raises(GraphError):
             build_blocks(tiny_graph.adjacency, tiny_graph.train_index[:2], (), rng)
+
+
+def minibatches(index, batch_size, rng):
+    return ItemSampler(index, batch_size, rng=rng).epoch()
 
 
 class TestMinibatches:
@@ -98,14 +114,13 @@ class TestMinibatches:
 
 class TestMiniBatchSAGE:
     def test_trains_on_tiny_graph(self, tiny_graph):
-        from repro.models import MiniBatchSAGETrainer
-
-        trainer = MiniBatchSAGETrainer(fanouts=(4, 4), batch_size=6, epochs=15)
-        result = trainer.fit(tiny_graph, seed=0, hidden=8)
+        model = GraphSAGE(
+            tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8, dropout=0.0
+        )
+        trainer = SampledTrainer(fanouts=(4, 4), batch_size=6, max_epochs=15, patience=15)
+        result = trainer.fit(model, tiny_graph)
         assert result.test_accuracy > 0.6
 
     def test_invalid_fanouts(self):
-        from repro.models import MiniBatchSAGETrainer
-
-        with pytest.raises(Exception):
-            MiniBatchSAGETrainer(fanouts=())
+        with pytest.raises(TrainingError):
+            SampledTrainer(fanouts=())

@@ -1,16 +1,10 @@
-"""Tests for graph statistics and random-walk utilities."""
+"""Tests for graph statistics and single random walks."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import (
-    edge_homophily,
-    random_walk,
-    sample_walks,
-    summarize,
-    walk_visit_counts,
-)
+from repro.graph import batch_random_walks, edge_homophily, summarize
 from repro.graph.graph import build_adjacency
 from repro.graph.stats import largest_connected_component_size
 
@@ -44,6 +38,13 @@ class TestStats:
         assert largest_connected_component_size(adj) == 3
 
 
+def random_walk(adjacency, start, length, rng):
+    """One walk through the batch walker, trailing stall repeats dropped."""
+    path = batch_random_walks(adjacency, np.array([start]), length, rng)[0]
+    moved = np.concatenate([[True], path[1:] != path[:-1]])
+    return path[moved]
+
+
 class TestWalks:
     def _line(self, n=5):
         return build_adjacency(n, np.array([[i, i + 1] for i in range(n - 1)]))
@@ -67,14 +68,3 @@ class TestWalks:
     def test_negative_length_raises(self, rng):
         with pytest.raises(GraphError):
             random_walk(self._line(), 0, -1, rng)
-
-    def test_sample_walks_count(self, rng):
-        walks = sample_walks(self._line(4), walks_per_node=3, length=2, rng=rng)
-        assert len(walks) == 12
-
-    def test_visit_counts_normalized_and_local(self, rng):
-        adj = self._line(10)
-        counts = walk_visit_counts(adj, seeds=np.array([0]), walks_per_seed=50, length=3, rng=rng)
-        assert counts.sum() == pytest.approx(1.0)
-        # Mass concentrates near the seed.
-        assert counts[:4].sum() > counts[6:].sum()

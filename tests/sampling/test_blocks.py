@@ -19,10 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import build_adjacency, build_blocks
+from repro.graph import build_adjacency
 from repro.graph.normalize import gcn_normalize
 from repro.sampling import BlockBuilder, ItemSampler, NeighborSampler, check_node_ids
-from repro.sampling.neighbor import sample_adjacent
 
 
 def random_graph(num_nodes, edge_prob, seed):
@@ -93,16 +92,17 @@ class TestBlockStructure:
         assert second_data.base is data_before.base
 
 
-def assert_full_fanout_rows_match_global(adjacency, seeds, num_layers=2):
+def assert_full_fanout_rows_match_global(adjacency, seeds, num_layers=2, dtype=np.float64):
     """Every block row equals the global Â row, bitwise, under renumbering."""
     max_deg = int(np.diff(adjacency.tocsr().indptr).max())
-    a_hat = gcn_normalize(adjacency).toarray()
-    builder = BlockBuilder(adjacency, (max_deg,) * num_layers, seed=0)
+    a_hat = gcn_normalize(adjacency).astype(dtype).toarray()
+    builder = BlockBuilder(adjacency, (max_deg,) * num_layers, seed=0, dtype=dtype)
     batch = builder.build(seeds)
     for block in batch.blocks:
+        assert block.adjacency.dtype == dtype
         dense = block.adjacency.toarray()
         for local_row, node in enumerate(block.output_nodes):
-            global_row = np.zeros(adjacency.shape[1])
+            global_row = np.zeros(adjacency.shape[1], dtype=dtype)
             global_row[block.input_nodes] = dense[local_row]
             # Bitwise: full fanout implies rescale == 1.0 exactly and the
             # same float expression as gcn_normalize per entry.
@@ -115,6 +115,12 @@ class TestFullFanoutParity:
 
     def test_single_seed(self, tiny_graph):
         assert_full_fanout_rows_match_global(tiny_graph.adjacency, np.array([0]))
+
+    def test_float32_blocks_equal_float32_global_rows(self, tiny_graph):
+        # Both sides compute in float64 and cast once, as Graph.astype does.
+        assert_full_fanout_rows_match_global(
+            tiny_graph.adjacency, tiny_graph.train_index[:8], dtype=np.float32
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -248,26 +254,6 @@ class TestSortedOracle:
         again = tiny_graph.train_index[3:9]
         assert_same_blocks(builder.build(again), reference_build(reference, (2, 3), again))
         assert builder.sampler.rng.bit_generator.state == reference.rng.bit_generator.state
-
-    def test_legacy_build_blocks_matches_reference(self):
-        # Isolated nodes (8, 9) take the self-edge path of the legacy API.
-        adjacency = build_adjacency(10, np.array([[0, i] for i in range(1, 8)] + [[2, 3]]))
-        seeds = np.array([9, 3, 0, 8, 3])
-        blocks = build_blocks(adjacency, seeds, (2, 3), np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        current = np.unique(seeds)
-        expected = []
-        for fanout in (2, 3):
-            src, _, _ = sample_adjacent(adjacency.indptr.astype(np.int64),
-                                        adjacency.indices.astype(np.int64),
-                                        current, fanout, rng, isolated_self_edges=True)
-            input_nodes, local_src = sorted_frontier(current, src)
-            expected.append((input_nodes, local_src))
-            current = input_nodes
-        for block, (input_nodes, local_src) in zip(blocks, reversed(expected)):
-            assert block.input_nodes.tobytes() == input_nodes.tobytes()
-            assert block.edge_src.tobytes() == local_src.tobytes()
-            assert block.edge_src.dtype == local_src.dtype
 
 
 class TestItemSampler:

@@ -12,6 +12,7 @@ from repro.sampling import (
     layerwise_neighborhood,
     sample_adjacent,
 )
+from tests.sampling.loop_sampler import _sample_neighbors_loop
 
 
 def star_graph(leaves=8):
@@ -83,18 +84,7 @@ class TestSampleAdjacent:
         np.testing.assert_array_equal(dst, [3, 0, 0])
         assert src[0] == 4 and sorted(src[1:].tolist()) == [1, 2]
 
-    def test_isolated_self_edges_flag(self, rng):
-        adj = build_adjacency(3, np.array([[0, 1]]))
-        indptr, indices = csr_arrays(adj)
-        src, dst, counts = sample_adjacent(
-            indptr, indices, np.array([2]), 4, rng, isolated_self_edges=True
-        )
-        np.testing.assert_array_equal(src, [2])
-        np.testing.assert_array_equal(dst, [2])
-        # counts report *sampled* neighbors: the self edge is not one.
-        np.testing.assert_array_equal(counts, [0])
-
-    def test_isolated_without_flag_contributes_nothing(self, rng):
+    def test_isolated_node_contributes_nothing(self, rng):
         adj = build_adjacency(3, np.array([[0, 1]]))
         indptr, indices = csr_arrays(adj)
         src, dst, counts = sample_adjacent(indptr, indices, np.array([2]), 4, rng)
@@ -129,6 +119,45 @@ class TestSampleAdjacent:
         for _ in range(20):
             src, _, _ = sample_adjacent(indptr, indices, np.array([0]), 4, rng, weights=weights)
             assert len(set(src.tolist())) == 4
+
+
+def ring_plus_random(num_nodes, edge_prob, seed):
+    """Symmetric adjacency: a ring (no isolated nodes) plus random chords."""
+    rng = np.random.default_rng(seed)
+    ring = [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
+    chords = [(i, j) for i in range(num_nodes) for j in range(i + 2, num_nodes)
+              if rng.random() < edge_prob]
+    return build_adjacency(num_nodes, np.asarray(ring + chords))
+
+
+class TestLoopOracle:
+    """The vectorized kernel against the per-node loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_fanout_matches_loop_bytewise(self, seed):
+        adjacency = ring_plus_random(40, 0.15, seed)
+        indptr, indices = csr_arrays(adjacency)
+        nodes = np.random.default_rng(seed).permutation(40)[:25]
+        fanout = int(np.diff(indptr).max())
+        src, dst, _ = sample_adjacent(indptr, indices, nodes, fanout, np.random.default_rng(0))
+        loop_src, loop_dst = _sample_neighbors_loop(adjacency, nodes, fanout, np.random.default_rng(0))
+        assert src.dtype == loop_src.dtype and dst.dtype == loop_dst.dtype
+        assert src.tobytes() == loop_src.tobytes()
+        assert dst.tobytes() == loop_dst.tobytes()
+
+    def test_over_fanout_rows_are_distinct_subsets_like_the_loop(self):
+        adjacency = ring_plus_random(40, 0.3, 7)
+        indptr, indices = csr_arrays(adjacency)
+        nodes = np.arange(40)
+        fanout = 4
+        src, dst, _ = sample_adjacent(indptr, indices, nodes, fanout, np.random.default_rng(1))
+        loop_src, loop_dst = _sample_neighbors_loop(adjacency, nodes, fanout, np.random.default_rng(1))
+        for node in nodes:
+            neighbors = set(indices[indptr[node]:indptr[node + 1]].tolist())
+            size = min(len(neighbors), fanout)
+            for picked in (src[dst == node], loop_src[loop_dst == node]):
+                assert len(picked) == len(set(picked.tolist())) == size
+                assert set(picked.tolist()) <= neighbors
 
 
 class TestNeighborSampler:

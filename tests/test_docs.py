@@ -1,11 +1,15 @@
 """Documentation integrity: the docs must reference real code and files."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((REPO / "examples").glob("*.py"))
 
 
 class TestDocsExist:
@@ -33,6 +37,17 @@ class TestReadmeReferences:
 
         for symbol in ("cora_like", "RDDConfig", "train_rdd"):
             assert hasattr(repro, symbol)
+
+
+class TestExamplesRun:
+    @pytest.mark.parametrize("script", EXAMPLES, ids=[path.name for path in EXAMPLES])
+    def test_example_exits_cleanly(self, script):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=REPO, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestDesignReferences:

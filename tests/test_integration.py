@@ -125,14 +125,14 @@ class TestEndToEndPipelines:
         assert "Bagging" in out and "RDD(Ensemble)" in out
 
     def test_checkpointed_model_reproduces_rdd_teacher_inputs(self, tiny_graph, tmp_path):
-        from repro.io import load_checkpoint, save_checkpoint
+        from repro.serving import ModelSpec, export_model_artifact, load_artifact
 
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
         Trainer(max_epochs=30).fit(model, tiny_graph)
-        save_checkpoint(model, tmp_path / "teacher.npz")
+        path = tmp_path / "teacher.rddart"
+        export_model_artifact(path, model, ModelSpec("gcn", {"hidden": 8}), tiny_graph)
 
-        restored = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(9), hidden=8)
-        load_checkpoint(restored, tmp_path / "teacher.npz")
+        restored = load_artifact(path).build_model(tiny_graph)
         np.testing.assert_allclose(
             softmax_rows(model.predict_logits(tiny_graph)),
             softmax_rows(restored.predict_logits(tiny_graph)),

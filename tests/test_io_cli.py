@@ -1,4 +1,4 @@
-"""Tests for checkpoint/report persistence and the CLI."""
+"""Tests for model/report persistence and the CLI."""
 
 import json
 
@@ -7,30 +7,32 @@ import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.evaluation.common import ExperimentReport
-from repro.io import load_checkpoint, load_report, save_checkpoint, save_report
+from repro.io import load_report, save_report
 from repro.models import GCN
+from repro.serving import ModelSpec, export_model_artifact, load_artifact
 from repro.training import make_rng
 
 
 class TestCheckpoints:
+    """Model weights persist as serving artifacts."""
+
     def test_roundtrip(self, tiny_graph, tmp_path):
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
-        path = tmp_path / "ckpt" / "model.npz"
-        save_checkpoint(model, path)
+        path = tmp_path / "ckpt" / "model.rddart"
+        export_model_artifact(path, model, ModelSpec("gcn", {"hidden": 8}), tiny_graph)
 
-        clone = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(1), hidden=8)
-        load_checkpoint(clone, path)
-        np.testing.assert_allclose(
+        clone = load_artifact(path).build_model(tiny_graph)
+        np.testing.assert_array_equal(
             model.predict_logits(tiny_graph), clone.predict_logits(tiny_graph)
         )
 
     def test_wrong_architecture_rejected(self, tiny_graph, tmp_path):
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
-        path = tmp_path / "model.npz"
-        save_checkpoint(model, path)
+        path = tmp_path / "model.rddart"
+        export_model_artifact(path, model, ModelSpec("gcn", {"hidden": 8}), tiny_graph)
         other = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=16)
         with pytest.raises(ValueError):
-            load_checkpoint(other, path)
+            other.load_state_dict(load_artifact(path).state_dict)
 
 
 class TestReports:

@@ -15,12 +15,24 @@ from repro.core.config import RDDConfig
 from repro.core.rdd import RDDTrainer
 from repro.errors import TrainingError
 from repro.models.gcn import GCN
+from repro.models.graphsage import GraphSAGE
+from repro.tensor.tensor import default_dtype
 from repro.training.sampled import SampledTrainer, SamplingPlan, sampled_supervised_loss
 from repro.training.trainer import Trainer
 
 
 def make_gcn(graph, seed=3, dropout=0.0):
     return GCN(
+        graph.num_features,
+        graph.num_classes,
+        np.random.default_rng(seed),
+        hidden=16,
+        dropout=dropout,
+    )
+
+
+def make_sage(graph, seed=3, dropout=0.0):
+    return GraphSAGE(
         graph.num_features,
         graph.num_classes,
         np.random.default_rng(seed),
@@ -176,6 +188,59 @@ class TestDifferentialGCN:
         np.testing.assert_allclose(
             sampled.predictions, full.predictions, rtol=0, atol=1e-12
         )
+        assert sampled.test_accuracy == full.test_accuracy
+
+
+class TestDifferentialSAGE:
+    """GraphSAGE through the same loop: its blocks aggregate with
+    ``GraphSAGE.block_adjacency`` instead of the block's Â."""
+
+    @pytest.mark.parametrize("graph_name", ["tiny_graph", "small_citation"])
+    def test_matches_full_batch_trainer(self, request, graph_name):
+        g = request.getfixturevalue(graph_name)
+        sampled = SampledTrainer(
+            fanouts=full_fanouts(g), batch_size=g.num_nodes, sample_seed=0,
+            max_epochs=12, patience=50,
+        ).fit(make_sage(g), g)
+        full = Trainer(max_epochs=12, patience=50).fit(make_sage(g), g)
+        np.testing.assert_allclose(
+            sampled.predictions, full.predictions, rtol=0, atol=1e-12
+        )
+        assert sampled.test_accuracy == full.test_accuracy
+        assert sampled.val_accuracy == full.val_accuracy
+        assert sampled.best_epoch == full.best_epoch
+
+
+class TestFloat32:
+    """On a float32 graph under a float32 default, the students' taped
+    forward stays in float32: blocks carry the graph's Â dtype."""
+
+    @pytest.mark.parametrize("factory", [make_gcn, make_sage])
+    def test_taped_block_logits_are_float32(self, small_citation, factory):
+        g = small_citation.astype("float32")
+        dtypes = []
+
+        def loss_fn(model, logits, seeds, epoch):
+            dtypes.append(logits.data.dtype)
+            return sampled_supervised_loss(g)(model, logits, seeds, epoch)
+
+        with default_dtype("float32"):
+            SampledTrainer(fanouts=(3, 3), batch_size=64, max_epochs=1).fit(
+                factory(g), g, loss_fn=loss_fn
+            )
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("factory", [make_gcn, make_sage])
+    def test_full_fanout_matches_full_batch_trainer(self, small_citation, factory):
+        g = small_citation.astype("float32")
+        with default_dtype("float32"):
+            sampled = SampledTrainer(
+                fanouts=full_fanouts(g), batch_size=g.num_nodes, sample_seed=0,
+                max_epochs=12, patience=50,
+            ).fit(factory(g), g)
+            full = Trainer(max_epochs=12, patience=50).fit(factory(g), g)
+        assert sampled.predictions.dtype == full.predictions.dtype == np.float32
+        np.testing.assert_allclose(sampled.predictions, full.predictions, rtol=0, atol=1e-6)
         assert sampled.test_accuracy == full.test_accuracy
 
 
