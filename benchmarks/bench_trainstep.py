@@ -10,9 +10,8 @@ update — in two configurations that are bitwise identical in output:
   step as it existed before the fused layer;
 * **fused** — the fused kernels (single-node softmax cross entropy,
   ``linear``, ``gcn_layer``, arena-leased dropout) under a
-  :class:`~repro.tensor.tensor.GradArena`: recycled gradient buffers,
-  ``zero_grad(set_to_none=True)``, and the cached backward schedule
-  replay — the library's only taped step.
+  :class:`~repro.tensor.tensor.GradArena`: recycled gradient buffers
+  and ``zero_grad(set_to_none=True)`` — the library's only taped step.
 
 Sparse-feature dropout lives in the ``Dropout`` layer, not in a kernel,
 so both sides rebuild the masked CSR matrix the same validation-free way.
@@ -136,12 +135,12 @@ def bench_workload(name: str, repeats: int = 50) -> Dict[str, float]:
     _assert_parity(graph, spec["factory"])
 
     # Build each path's step once — the persistent arena is part of what
-    # is being measured (steady-state buffer reuse and the cached
-    # backward schedule only pay off across steps) — then alternate
-    # best-of rounds so machine drift hits both paths equally.
+    # is being measured (steady-state buffer reuse only pays off across
+    # steps) — then alternate best-of rounds so machine drift hits both
+    # paths equally.
     _, legacy_step = _make_step(graph, spec["factory"], arena=None)
     _, fused_step = _make_step(graph, spec["factory"], arena=GradArena())
-    for epoch in range(5):  # warm caches, allocator, cached schedule
+    for epoch in range(5):  # warm caches, allocator, buffer pool
         legacy_step(epoch)
         fused_step(epoch)
     rounds = 4

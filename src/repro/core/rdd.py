@@ -272,7 +272,12 @@ class RDDTrainer:
         edge_dst: np.ndarray,
         reliability_history: List[dict],
     ) -> TrainResult:
-        """Train one student under the current teacher (Alg. 3 lines 7–18)."""
+        """Train one student under the current teacher (Alg. 3 lines 7–18).
+
+        Both trainers share the per-epoch reliability refresh and the
+        ``rdd_epoch`` emitter; the sampled one gets a batch-restricted
+        loss and a sampling plan.
+        """
         config = self.config
         teacher_probs = teacher.probs()
         state = RDDLossState(
@@ -295,9 +300,10 @@ class RDDTrainer:
         )
 
         # Observability captured once per student: the per-epoch refresh
-        # stashes reliability diagnostics here and loss_fn emits them as
-        # one ``rdd_epoch`` event, alongside the L1/L2/Lreg components
-        # recorded by rdd_student_loss.  Zero work when obs is disabled.
+        # stashes reliability diagnostics here and the loss emits them as
+        # one ``rdd_epoch`` event per epoch, alongside the L1/L2/Lreg
+        # components recorded by the student loss.  Zero work when obs is
+        # disabled.
         obs_on = obs.enabled()
         state.record_components = obs_on
         student_number = len(teacher) + 1
@@ -305,6 +311,7 @@ class RDDTrainer:
         # Latest reliability mask, consumed by the sampled path's per-epoch
         # sampling plan (reliability-prioritized seed/neighbor selection).
         holder: dict = {}
+        last_emitted = -1
 
         def refresh(epoch: int, student: GraphModel, eval_logits: np.ndarray) -> None:
             """Per-epoch reliability update (Alg. 3 line 7) from the
@@ -353,6 +360,13 @@ class RDDTrainer:
                 )
 
         def emit_epoch_event(epoch: int) -> None:
+            # One rdd_epoch event per epoch (on its first step) keeps the
+            # obs report's reliability trajectory one point per epoch in
+            # both training modes.
+            nonlocal last_emitted
+            if not obs_on or state.components is None or epoch == last_emitted:
+                return
+            last_emitted = epoch
             obs.event(
                 "rdd_epoch",
                 student=student_number,
@@ -366,38 +380,22 @@ class RDDTrainer:
 
         def loss_fn(student: GraphModel, logits, epoch: int):
             loss = rdd_student_loss(graph, logits, state)
-            if obs_on and state.components is not None:
-                emit_epoch_event(epoch)
+            emit_epoch_event(epoch)
             return loss
 
-        if isinstance(trainer, SampledTrainer):
-            return self._fit_student_sampled(
-                trainer, model, graph, state, refresh, holder, emit_epoch_event, obs_on
-            )
-        return trainer.fit(model, graph, loss_fn=loss_fn, epoch_callback=refresh)
+        if not isinstance(trainer, SampledTrainer):
+            return trainer.fit(model, graph, loss_fn=loss_fn, epoch_callback=refresh)
 
-    def _fit_student_sampled(
-        self,
-        trainer: SampledTrainer,
-        model: GraphModel,
-        graph: Graph,
-        state: RDDLossState,
-        refresh,
-        holder: dict,
-        emit_epoch_event,
-        obs_on: bool,
-    ) -> TrainResult:
-        """Mini-batch variant of the student fit (sampler="neighbor").
-
-        The per-epoch reliability refresh is the very same closure as the
-        full-batch path; what changes is the loss (Eq. 10 restricted to
-        each batch) and the sampling plan: the seed pool is the union of
-        every node the epoch's loss can touch (labeled ∪ V_b ∪ reliable
-        edge endpoints), and with ``reliability_sampling`` the reliable
-        nodes get double weight both as early seeds and as preferred
-        neighbors on over-fanout rows.
-        """
-        config = self.config
+        # Mini-batch student (sampler="neighbor"): Eq. 10 restricted to
+        # each batch, over a seed pool that is the union of every node the
+        # epoch's loss can touch (labeled ∪ V_b ∪ reliable edge
+        # endpoints).  With ``reliability_sampling`` the reliable nodes
+        # get double weight both as early seeds and as preferred
+        # neighbors on over-fanout rows.
+        def sampled_loss_fn(student: GraphModel, logits, seeds: np.ndarray, epoch: int):
+            loss = sampled_rdd_student_loss(graph, logits, state, seeds)
+            emit_epoch_event(epoch)
+            return loss
 
         def plan_fn(epoch: int) -> SamplingPlan:
             parts = [np.asarray(graph.train_index, dtype=np.int64)]
@@ -419,21 +417,8 @@ class RDDTrainer:
                 reliable_mask=mask,
             )
 
-        last_emitted = -1
-
-        def loss_fn(student: GraphModel, logits, seeds: np.ndarray, epoch: int):
-            nonlocal last_emitted
-            loss = sampled_rdd_student_loss(graph, logits, state, seeds)
-            # One rdd_epoch event per epoch (first batch) keeps the obs
-            # report's reliability trajectory one point per epoch, as in
-            # the full-batch path.
-            if obs_on and state.components is not None and epoch != last_emitted:
-                last_emitted = epoch
-                emit_epoch_event(epoch)
-            return loss
-
         return trainer.fit(
-            model, graph, loss_fn=loss_fn, epoch_callback=refresh, plan_fn=plan_fn
+            model, graph, loss_fn=sampled_loss_fn, epoch_callback=refresh, plan_fn=plan_fn
         )
 
 

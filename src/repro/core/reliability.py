@@ -45,11 +45,6 @@ class ReliabilitySets:
     distill_mask: np.ndarray
 
     @property
-    def reliable_index(self) -> np.ndarray:
-        """Indices of ``V_r``."""
-        return np.flatnonzero(self.reliable_mask)
-
-    @property
     def distill_index(self) -> np.ndarray:
         """Indices of ``V_b``."""
         return np.flatnonzero(self.distill_mask)

@@ -125,14 +125,6 @@ class GraphDelta:
     def num_new_nodes(self) -> int:
         return 0 if self.new_features is None else int(self.new_features.shape[0])
 
-    @property
-    def is_empty(self) -> bool:
-        return (
-            len(self.added_edges) == 0
-            and len(self.removed_edges) == 0
-            and self.num_new_nodes == 0
-        )
-
     def dirty_nodes(self, num_nodes: int) -> np.ndarray:
         """Nodes whose degree or edge list this delta changes (sorted).
 

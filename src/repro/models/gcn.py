@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel
-from repro.nn.layers import Dropout, GraphConvolution
+from repro.nn.layers import Dropout, FeatureInput, GraphConvolution
 from repro.nn.module import Module, ModuleList
 from repro.sampling.blocks import Block
 from repro.tensor import ops
@@ -69,12 +69,20 @@ class GCN(GraphModel):
         return GraphConvolution(in_features, out_features, rng)
 
     def forward(self, graph: Graph) -> Tensor:
-        adjacency = graph.normalized_adjacency()
-        h = graph.features
-        for i, layer in enumerate(self.layers):
+        return self.propagate([graph.normalized_adjacency()] * len(self.layers), graph.features)
+
+    def propagate(self, adjacencies: Sequence[sp.spmatrix], h: FeatureInput) -> Tensor:
+        """The layer loop: dropout, then ``layer(adjacencies[i], h)``, then
+        ReLU except after the last layer.
+
+        Every forward runs through here: the full graph passes the same
+        matrix for each layer, a sampled batch one block matrix per layer.
+        """
+        last = len(self.layers) - 1
+        for i, (layer, adjacency) in enumerate(zip(self.layers, adjacencies)):
             h = self.dropout(h)
             h = layer(adjacency, h)
-            if i < len(self.layers) - 1:
+            if i < last:
                 h = ops.relu(h)
         return h
 

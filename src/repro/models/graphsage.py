@@ -59,13 +59,7 @@ class GraphSAGE(GCN):
         # Features are densified before dropout, so the masks are drawn
         # over every entry, zeros included.
         adjacency = row_normalize(graph.adjacency, self_loops=False)
-        h = as_tensor(_dense(graph.features))
-        for i, layer in enumerate(self.layers):
-            h = self.dropout(h)
-            h = layer(adjacency, h)
-            if i < len(self.layers) - 1:
-                h = ops.relu(h)
-        return h
+        return self.propagate([adjacency] * len(self.layers), as_tensor(_dense(graph.features)))
 
     def block_adjacency(self, block: Block) -> sp.csr_matrix:
         """Neighbor-mean matrix over ``block``'s sampled edges.

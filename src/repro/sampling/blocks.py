@@ -246,14 +246,16 @@ class BlockBuilder:
              (self.inv_sqrt[src] * np.repeat(inv_cur, counts)) * np.repeat(rescale, counts)]
         )
 
-        # Canonical CSR (row-major, sorted columns) into leased buffers,
-        # casting the values to the block dtype on the way in; cols <
-        # num_in, so the key orders by row, then column.
+        # Canonical CSR (row-major, sorted columns) into leased buffers;
+        # cols < num_in, so the key orders by row, then column.  The
+        # values are cast to the block dtype before the gather: a gather
+        # into a buffer of another dtype would first cast the buffer's
+        # stale contents, which can warn on NaN bit patterns.
         order = np.argsort(rows * num_in + cols, kind="stable")
         data = self._pool.take((layer, "data"), total, self.dtype)
         indices = self._pool.take((layer, "indices"), total, np.int64)
         indptr = self._pool.take((layer, "indptr"), num_out + 1, np.int64)
-        np.take(vals, order, out=data)
+        np.take(vals.astype(self.dtype, copy=False), order, out=data)
         np.take(cols, order, out=indices)
         indptr[0] = 0
         np.cumsum(counts + 1, out=indptr[1:])

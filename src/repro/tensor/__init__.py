@@ -10,8 +10,7 @@ Public surface:
 * :mod:`repro.tensor.gradcheck` — finite-difference gradient verification;
 * :mod:`repro.tensor.fused` — fused training-step kernels (single-node
   softmax cross entropy, linear, GCN layer, arena-leased dropout);
-* :class:`GradArena` — gradient-buffer arena with a cached backward
-  schedule for structurally static training loops.
+* :class:`GradArena` — gradient-buffer pool for training loops.
 """
 
 from repro.tensor import functional, fused, ops

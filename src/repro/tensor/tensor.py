@@ -22,7 +22,8 @@ against central finite differences in ``tests/tensor/test_gradcheck.py``.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,10 +138,8 @@ class default_dtype:
 # everywhere outside a trainer's backward pass) behavior is unchanged.
 _ACTIVE_ARENA: Optional["GradArena"] = None
 
-# Arena currently recording the op tape (set inside ``GradArena.record``
-# scopes).  ``Tensor._make`` appends every tape-wired output to it so the
-# backward schedule can be replayed without re-deriving the topological
-# order when the graph structure is unchanged from the previous step.
+# Arena whose ``GradArena.record`` scope is open: fused forward kernels
+# lease their per-step scratch from it (see ``fused.dropout``).
 _RECORDING_ARENA: Optional["GradArena"] = None
 
 
@@ -287,8 +286,6 @@ class Tensor:
                     out.requires_grad = True
                     out._parents = parents
                     out._backward = backward
-                    if _RECORDING_ARENA is not None:
-                        _RECORDING_ARENA._tape.append(out)
                     break
         return out
 
@@ -491,27 +488,18 @@ class Tensor:
 
 
 class GradArena:
-    """Gradient-buffer arena + cached backward schedule for train loops.
+    """Gradient-buffer pool for train loops.
 
-    A full-batch training step rebuilds the same (structurally static)
-    op graph every epoch, and the stock backward pass pays for that
-    twice: every tensor's first gradient contribution allocates a fresh
-    array, and every ``backward()`` call re-derives the topological
-    order with a DFS.  The arena removes both costs:
-
-    * **buffer pool** — gradient arrays handed out during one backward
-      pass are reclaimed at the start of the next step and reused (keyed
-      by shape/dtype), so steady-state gradient accumulation allocates
-      nothing.  Combined with ``zero_grad(set_to_none=True)`` semantics
-      (the engine's default) no buffer is ever redundantly zero-filled.
-    * **cached schedule** — ops recorded during a :meth:`record` scope
-      form a creation-order tape; :meth:`backward` derives the DFS
-      topological order once, remembers it as tape positions together
-      with a structural signature (each node's requires-grad parent
-      slots), and replays it directly on later steps whose signature
-      matches.  The replayed order *is* the DFS order, so gradient
-      contributions reach shared parents in the identical sequence and
-      results stay bitwise equal to ``Tensor.backward``.
+    A training step rebuilds the same op graph every step, and in the
+    stock backward pass every tensor's first gradient contribution
+    allocates a fresh array.  The arena recycles those arrays instead:
+    buffers handed out during one step are reclaimed when the next
+    :meth:`record` scope opens and reused (keyed by shape/dtype), so
+    steady-state gradient accumulation allocates nothing.  Combined with
+    ``zero_grad(set_to_none=True)`` semantics (the engine's default) no
+    buffer is ever redundantly zero-filled.  :meth:`backward` is
+    ``Tensor.backward`` with that pool attached, so gradients are
+    bitwise identical to it.
 
     Usage (what :class:`repro.training.trainer.Trainer` does)::
 
@@ -541,23 +529,11 @@ class GradArena:
         self._free: dict = {}  # (shape, dtype) -> [ndarray, ...]
         self._free_bytes = 0
         self._in_use: List[np.ndarray] = []
-        self._tape: List[Tensor] = []
-        self._cached_signature: Optional[List[tuple]] = None
-        self._cached_root: Optional[int] = None
-        self._cached_schedule: Optional[List[int]] = None
 
-    # -- buffer pool ---------------------------------------------------
     def _take(self, grad: np.ndarray) -> np.ndarray:
         """A buffer shaped like ``grad`` holding a copy of its values."""
-        key = (grad.shape, grad.dtype)
-        pool = self._free.get(key)
-        if pool:
-            buffer = pool.pop()
-            self._free_bytes -= buffer.nbytes
-            np.copyto(buffer, grad)
-        else:
-            buffer = grad.copy()
-        self._in_use.append(buffer)
+        buffer = self.take_buffer(grad.shape, grad.dtype)
+        np.copyto(buffer, grad)
         return buffer
 
     def take_buffer(self, shape, dtype) -> np.ndarray:
@@ -590,98 +566,25 @@ class GradArena:
             self._free.clear()
             self._free_bytes = 0
 
-    # -- recording -----------------------------------------------------
-    def record(self) -> "_ArenaRecording":
-        """Scope recording the forward pass's op tape into this arena.
+    @contextmanager
+    def record(self) -> Iterator["GradArena"]:
+        """Scope of one step's forward pass.
 
-        Entering the scope also reclaims the previous step's gradient
-        buffers (they must no longer be referenced — see class docs).
+        Entering reclaims the previous step's buffers (they must no
+        longer be referenced — see class docs); inside, fused kernels
+        lease their scratch from this arena.
         """
-        return _ArenaRecording(self)
-
-    # -- backward ------------------------------------------------------
-    def backward(self, output: Tensor) -> None:
-        """Backpropagate from ``output`` using the recorded tape.
-
-        Bitwise-identical to ``output.backward()``; falls back to it
-        transparently (still with buffer reuse) whenever ``output`` was
-        not the product of this arena's latest :meth:`record` scope.
-        """
-        if not output.requires_grad:
-            raise RuntimeError("backward() called on a tensor that does not require grad")
-        if output.size != 1:
-            raise ShapeError(
-                "backward() without an explicit gradient requires a scalar output, "
-                f"got shape {output.shape}"
-            )
-        schedule = self._resolve_schedule(output)
-        if schedule is None:
-            self._fallback(output)
-            return
-        tape = self._tape
-        global _ACTIVE_ARENA
-        previous = _ACTIVE_ARENA
-        _ACTIVE_ARENA = self
+        global _RECORDING_ARENA
+        previous = _RECORDING_ARENA
+        self._reclaim()
+        _RECORDING_ARENA = self
         try:
-            # Mirror Tensor.backward: reset intermediate grads, seed the
-            # output, run the closures in reverse topological order.
-            for position in schedule:
-                tape[position].grad = None
-            output._accumulate(np.ones_like(output.data))
-            for position in reversed(schedule):
-                node = tape[position]
-                if node.grad is not None:
-                    node._backward(node.grad)
+            yield self
         finally:
-            _ACTIVE_ARENA = previous
+            _RECORDING_ARENA = previous
 
-    def _resolve_schedule(self, output: Tensor) -> Optional[List[int]]:
-        """Tape positions of the backward nodes in DFS topological order.
-
-        Validates the cached schedule against a structural signature —
-        per tape node, the slots of its requires-grad parents (tape
-        position for recorded intermediates, object identity for leaves
-        such as parameters).  The DFS order is a pure function of that
-        signature plus the root position, so a match guarantees the
-        cached order is exactly what the DFS would produce.
-        """
-        tape = self._tape
-        if not tape:
-            return None
-        positions: dict = {}
-        signature: List[tuple] = []
-        for i, node in enumerate(tape):
-            positions[id(node)] = i
-            signature.append(
-                tuple(
-                    positions.get(id(parent), ~id(parent))
-                    for parent in node._parents
-                    if parent.requires_grad
-                )
-            )
-        root = positions.get(id(output))
-        if root is None:
-            return None
-        if (
-            self._cached_schedule is not None
-            and root == self._cached_root
-            and signature == self._cached_signature
-        ):
-            return self._cached_schedule
-        schedule: List[int] = []
-        for node in output._topological_order():
-            if node._backward is None:
-                continue  # leaves execute nothing
-            position = positions.get(id(node))
-            if position is None:
-                return None  # op recorded outside this tape: stay exact, fall back
-            schedule.append(position)
-        self._cached_signature = signature
-        self._cached_root = root
-        self._cached_schedule = schedule
-        return schedule
-
-    def _fallback(self, output: Tensor) -> None:
+    def backward(self, output: Tensor) -> None:
+        """``output.backward()`` with first-touch gradients drawn from the pool."""
         global _ACTIVE_ARENA
         previous = _ACTIVE_ARENA
         _ACTIVE_ARENA = self
@@ -691,34 +594,8 @@ class GradArena:
             _ACTIVE_ARENA = previous
 
 
-class _ArenaRecording:
-    """Context manager activating tape recording for one forward pass."""
-
-    def __init__(self, arena: GradArena):
-        self._arena = arena
-
-    def __enter__(self) -> GradArena:
-        global _RECORDING_ARENA
-        self._previous = _RECORDING_ARENA
-        arena = self._arena
-        arena._reclaim()
-        arena._tape = []
-        _RECORDING_ARENA = arena
-        return arena
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _RECORDING_ARENA
-        _RECORDING_ARENA = self._previous
-        return False
-
-
 def as_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
     """Return ``value`` unchanged if it is a Tensor, else wrap it (no grad)."""
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def stack_tensors(tensors: Iterable[Tensor]) -> np.ndarray:
-    """Stack the raw data of ``tensors`` into one ndarray (no autodiff)."""
-    return np.stack([t.data for t in tensors])

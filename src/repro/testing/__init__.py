@@ -3,7 +3,7 @@
 :mod:`repro.testing.faults` provides the deterministic fault-injection
 layer: the crash-safe runtime (checkpointing, the parallel executor, the
 training loop) declares named *fault points*, and chaos tests activate
-:class:`FaultPlan` rules to fire worker crashes, pickle errors, and
+:class:`FaultPlan` rules to fire worker crashes, transient errors, and
 checkpoint corruption at exact, reproducible moments.
 """
 
@@ -11,7 +11,6 @@ from repro.testing.faults import (
     CheckpointFault,
     FaultPlan,
     InjectedFault,
-    PickleFault,
     TransientFault,
     WorkerCrash,
     active_plan,
@@ -25,7 +24,6 @@ __all__ = [
     "CheckpointFault",
     "FaultPlan",
     "InjectedFault",
-    "PickleFault",
     "TransientFault",
     "WorkerCrash",
     "active_plan",

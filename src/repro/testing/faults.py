@@ -61,10 +61,6 @@ class WorkerCrash(InjectedFault):
     """Simulates a worker process dying mid-task."""
 
 
-class PickleFault(InjectedFault):
-    """Simulates a payload that fails to serialize."""
-
-
 class TransientFault(InjectedFault):
     """A failure expected to clear on retry."""
 

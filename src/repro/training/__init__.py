@@ -9,13 +9,12 @@ from repro.training.checkpoint import (
 from repro.training.metrics import confusion_matrix, macro_f1, split_accuracies
 from repro.training.parallel import (
     TaskTimeout,
-    default_workers,
     parallel_map,
     reset_fallback_warnings,
     spawn_seeds,
 )
 from repro.training.records import EnsembleResult, TrainResult, results_bitwise_equal
-from repro.training.seed import generator_state, make_rng, restore_generator, spawn_rngs
+from repro.training.seed import make_rng, spawn_rngs
 from repro.training.trainer import Trainer, supervised_loss
 from repro.training.tuning import GridSearchResult, grid_cells, grid_search
 
@@ -30,11 +29,8 @@ __all__ = [
     "results_bitwise_equal",
     "make_rng",
     "spawn_rngs",
-    "generator_state",
-    "restore_generator",
     "parallel_map",
     "spawn_seeds",
-    "default_workers",
     "reset_fallback_warnings",
     "TaskTimeout",
     "CheckpointStore",

@@ -76,11 +76,6 @@ def available_cores() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def default_workers() -> int:
-    """A sensible worker count for this machine (``available_cores``)."""
-    return available_cores()
-
-
 def spawn_seeds(seed: int, count: int) -> List[int]:
     """``count`` independent integer seeds derived from ``seed``.
 

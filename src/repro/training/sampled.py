@@ -7,11 +7,11 @@ pool in shuffled batches, builds per-batch normalized Â blocks with a
 batch.  Training cost and the training-pass peak memory then scale with
 ``batch_size × prod(fanouts)`` instead of with the graph.
 
-The loop keeps the full-batch trainer's contract wherever it can: same
-Adam/early-stopping budget, same best-checkpoint restore, the same
-``epoch_callback`` signature (RDD's reliability refresh plugs in
-unchanged), and a :class:`TrainResult` with identical fields.  Two things
-necessarily differ:
+Only the epoch's steps are its own: the epoch loop is the full-batch
+trainer's (:meth:`Trainer._run`), so the Adam/early-stopping budget, the
+best-checkpoint restore, the ``epoch_callback`` signature (RDD's
+reliability refresh plugs in unchanged), the obs spans and the
+:class:`TrainResult` are shared.  Two things necessarily differ:
 
 * ``loss_fn`` is batch-aware — ``(model, logits, seeds, epoch)`` where
   ``logits`` covers only the (sorted, deduplicated) batch ``seeds``.  It
@@ -29,9 +29,8 @@ tests in ``tests/training/test_sampled.py`` pin that equivalence.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,12 +39,9 @@ from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel
 from repro.nn.optim import Adam
-from repro.nn.schedules import EarlyStopping
 from repro.sampling import BlockBuilder, ItemSampler, MiniBatch
-from repro.tensor import ops
-from repro.tensor.functional import accuracy, masked_cross_entropy_logits
+from repro.tensor.functional import masked_cross_entropy_logits
 from repro.tensor.tensor import GradArena, Tensor
-from repro.testing.faults import fault_point
 from repro.training.records import TrainResult
 from repro.training.trainer import EpochCallback, Trainer
 
@@ -87,10 +83,11 @@ class SamplingPlan:
 class SampledTrainer(Trainer):
     """Neighbor-sampled mini-batch trainer for GCN-family models.
 
-    The model must expose ``layers`` (a sequence of modules callable as
-    ``layer(adjacency, h)``), ``dropout`` and ``block_adjacency(block)``,
-    the matrix its layers aggregate with over a sampled block — the
-    :class:`GCN` contract, which :class:`GraphSAGE` shares.
+    The model must expose ``propagate(adjacencies, h)`` (its layer loop,
+    one matrix per layer), ``block_adjacency(block)`` (the matrix its
+    layers aggregate with over a sampled block) and ``layers`` (one
+    fanout per layer) — the :class:`GCN` contract, which
+    :class:`GraphSAGE` shares.
 
     Parameters
     ----------
@@ -138,11 +135,11 @@ class SampledTrainer(Trainer):
         layers = getattr(model, "layers", None)
         if (
             layers is None
-            or getattr(model, "dropout", None) is None
+            or not hasattr(model, "propagate")
             or not hasattr(model, "block_adjacency")
         ):
             raise TrainingError(
-                "SampledTrainer needs a GCN-family model exposing .layers, .dropout "
+                "SampledTrainer needs a GCN-family model exposing .layers, .propagate "
                 "and .block_adjacency"
             )
         num_layers = len(layers)
@@ -157,22 +154,17 @@ class SampledTrainer(Trainer):
 
     @staticmethod
     def _forward_blocks(model: GraphModel, graph: Graph, batch: MiniBatch) -> Tensor:
-        """Layer-wise forward over the batch's blocks.
+        """The model's layer loop over the batch's blocks.
 
-        Mirrors :meth:`GCN.forward` restricted to the sampled receptive
-        field: block ``i`` maps layer ``i``'s input rows to its output
-        rows (consecutive blocks chain — ``blocks[i].output_nodes ==
+        Block ``i`` maps layer ``i``'s input rows to its output rows
+        (consecutive blocks chain — ``blocks[i].output_nodes ==
         blocks[i+1].input_nodes``), so the returned logits cover exactly
         ``batch.seeds``.
         """
-        h = graph.features[batch.blocks[0].input_nodes]
-        last = len(batch.blocks) - 1
-        for i, layer in enumerate(model.layers):
-            h = model.dropout(h)
-            h = layer(model.block_adjacency(batch.blocks[i]), h)
-            if i < last:
-                h = ops.relu(h)
-        return h
+        return model.propagate(
+            [model.block_adjacency(block) for block in batch.blocks],
+            graph.features[batch.input_nodes],
+        )
 
     # ------------------------------------------------------------------
     def fit(
@@ -201,127 +193,63 @@ class SampledTrainer(Trainer):
             RDD's refreshed reliability sets feed the same epoch's
             plan).  Default: uniform shuffle of ``graph.train_index``.
         """
-        start = time.perf_counter()
         fanouts = self._model_fanouts(model)
         if loss_fn is None:
             loss_fn = sampled_supervised_loss(graph)
-        optimizer = Adam(model.parameters(), lr=self.lr, weight_decay=self.weight_decay)
-        stopper = EarlyStopping(patience=self.patience)
-        best_state = model.state_dict()
-        history: List[dict] = []
-        eval_logits = None
-
         shuffle_rng, neighbor_rng = (
             np.random.default_rng(s) for s in np.random.SeedSequence(self.sample_seed).spawn(2)
         )
         builder = BlockBuilder(
             graph.adjacency, fanouts, rng=neighbor_rng, dtype=graph.normalized_adjacency().dtype
         )
-        arena = GradArena()
         obs_on = obs.enabled()
 
-        epochs_run = 0
-        val_acc = 0.0
-        fit_span = obs.span(
-            "trainer:fit",
-            max_epochs=self.max_epochs,
+        def train_epoch(epoch: int, optimizer: Adam, arena: GradArena) -> Tuple[float, int]:
+            plan = plan_fn(epoch) if plan_fn is not None else SamplingPlan(graph.train_index)
+            builder.set_weights(plan.node_weights)
+            batches = ItemSampler(plan.seeds, self.batch_size, rng=shuffle_rng).epoch(
+                weights=plan.seed_weights
+            )
+            total, steps = 0.0, 0
+            for batch_idx, seed_batch in enumerate(batches):
+                batch = builder.build(seed_batch)
+                attrs = {}
+                if obs_on:
+                    attrs = dict(
+                        epoch=epoch,
+                        batch=batch_idx,
+                        num_seeds=len(batch.seeds),
+                        num_input_nodes=len(batch.input_nodes),
+                    )
+                    if plan.reliable_mask is not None:
+                        attrs["reliable_seeds"] = int(
+                            np.count_nonzero(plan.reliable_mask[batch.seeds])
+                        )
+                with obs.span("sampler:batch", **attrs) as batch_span:
+                    with arena.record():
+                        logits = self._forward_blocks(model, graph, batch)
+                        loss = loss_fn(model, logits, batch.seeds, epoch)
+                    if loss is None:  # no applicable loss term in this batch
+                        continue
+                    optimizer.zero_grad()
+                    arena.backward(loss)
+                    optimizer.step()
+                    if batch_span:
+                        batch_span.set(loss=loss.item())
+                total += loss.item()
+                steps += 1
+            return total, steps
+
+        return self._run(
+            model,
+            graph,
+            train_epoch,
+            epoch_callback,
+            eval_every=self.eval_every,
             sampler="neighbor",
             fanouts=list(fanouts),
             batch_size=self.batch_size,
         )
-        with fit_span:
-            for epoch in range(self.max_epochs):
-                fault_point("trainer:epoch", key=epoch)
-                epochs_run = epoch + 1
-                with obs.span("epoch", epoch=epoch) as epoch_span:
-                    if epoch_callback is not None:
-                        if eval_logits is None:  # bootstrap forward for epoch 0 only
-                            eval_logits = model.predict_logits(graph)
-                        epoch_callback(epoch, model, eval_logits)
-
-                    plan = plan_fn(epoch) if plan_fn is not None else SamplingPlan(graph.train_index)
-                    builder.set_weights(plan.node_weights)
-                    batches = ItemSampler(
-                        plan.seeds, self.batch_size, rng=shuffle_rng
-                    ).epoch(weights=plan.seed_weights)
-
-                    model.train()
-                    epoch_loss = 0.0
-                    steps = 0
-                    for batch_idx, seed_batch in enumerate(batches):
-                        batch = builder.build(seed_batch)
-                        batch_span = None
-                        if obs_on:
-                            attrs = dict(
-                                epoch=epoch,
-                                batch=batch_idx,
-                                num_seeds=len(batch.seeds),
-                                num_input_nodes=len(batch.input_nodes),
-                            )
-                            if plan.reliable_mask is not None:
-                                attrs["reliable_seeds"] = int(
-                                    np.count_nonzero(plan.reliable_mask[batch.seeds])
-                                )
-                            batch_span = obs.span("sampler:batch", **attrs)
-                        with batch_span or _NULL_CONTEXT:
-                            with arena.record():
-                                logits = self._forward_blocks(model, graph, batch)
-                                loss = loss_fn(model, logits, batch.seeds, epoch)
-                            if loss is None:  # no applicable loss term in this batch
-                                continue
-                            optimizer.zero_grad()
-                            arena.backward(loss)
-                            optimizer.step()
-                            if batch_span:
-                                batch_span.set(loss=loss.item())
-                        epoch_loss += loss.item()
-                        steps += 1
-
-                    evaluate = (epoch + 1) % self.eval_every == 0 or epoch + 1 == self.max_epochs
-                    if evaluate:
-                        eval_logits = model.predict_logits(graph)
-                        val_acc = accuracy(eval_logits, graph.labels, graph.val_index)
-                    if epoch_span:
-                        epoch_span.set(
-                            loss=epoch_loss / max(steps, 1), val_accuracy=val_acc, steps=steps
-                        )
-                if self.record_history:
-                    history.append(
-                        {"epoch": epoch, "loss": epoch_loss / max(steps, 1), "val_accuracy": val_acc}
-                    )
-                if evaluate:
-                    should_stop = stopper.update(val_acc, epoch)
-                    if stopper.improved:
-                        best_state = model.state_dict()
-                    if should_stop and epoch + 1 >= self.min_epochs:
-                        break
-            if fit_span:
-                fit_span.set(epochs_run=epochs_run, best_epoch=stopper.best_epoch)
-
-        model.load_state_dict(best_state)
-        predictions = model.predict_logits(graph)
-        wall = time.perf_counter() - start
-        return TrainResult(
-            train_accuracy=accuracy(predictions, graph.labels, graph.train_index),
-            val_accuracy=accuracy(predictions, graph.labels, graph.val_index),
-            test_accuracy=accuracy(predictions, graph.labels, graph.test_index),
-            epochs_run=epochs_run,
-            best_epoch=stopper.best_epoch,
-            wall_time_s=wall,
-            history=history,
-            predictions=predictions,
-        )
-
-
-class _NullContext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
 
 
 def sampled_supervised_loss(graph: Graph) -> SampledLossFn:

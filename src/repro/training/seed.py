@@ -22,22 +22,3 @@ def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     """``count`` statistically independent generators derived from ``seed``."""
     sequence = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
-def generator_state(rng: np.random.Generator) -> dict:
-    """The exact position of ``rng``'s stream, as a checkpointable dict.
-
-    Pickles cleanly (plain dict of ints/arrays), so checkpoints can
-    capture where a generator stopped and :func:`restore_generator` can
-    resume the identical stream after a crash.
-    """
-    return rng.bit_generator.state
-
-
-def restore_generator(state: dict) -> np.random.Generator:
-    """A generator resumed at the exact position captured by
-    :func:`generator_state` — the next draws are bit-identical to what
-    the original generator would have produced."""
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)

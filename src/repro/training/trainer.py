@@ -1,15 +1,17 @@
-"""Full-batch training loop with validation early stopping.
+"""The training loop with validation early stopping.
 
 Matches the paper's budget: Adam (lr 0.01), up to 500 epochs, stop when
 the validation accuracy has not improved for 20 evaluations, restore the
 best checkpoint.  A pluggable ``loss_fn`` lets RDD and the KD baselines
-inject their extra objective terms while reusing the same loop.
+inject their extra objective terms while reusing the same loop, and
+:class:`~repro.training.sampled.SampledTrainer` runs the same epoch loop
+(:meth:`Trainer._run`) with mini-batch steps.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from repro.training.records import TrainResult
 LossFn = Callable[[GraphModel, Tensor, int], Tensor]
 # Signature: epoch_callback(epoch, model, eval_logits).
 EpochCallback = Callable[[int, GraphModel, np.ndarray], None]
+# Signature: train_epoch(epoch, optimizer, arena) -> (summed loss, steps).
+TrainEpoch = Callable[[int, Adam, GradArena], Tuple[float, int]]
 
 
 class Trainer:
@@ -89,21 +93,50 @@ class Trainer:
             for free instead of running a duplicate forward.  Epoch 0
             bootstraps them with one extra forward.
         """
-        start = time.perf_counter()
         if loss_fn is None:
             loss_fn = supervised_loss(graph)
+
+        def train_epoch(epoch: int, optimizer: Adam, arena: GradArena) -> Tuple[float, int]:
+            with arena.record():
+                logits = model(graph)
+                loss = loss_fn(model, logits, epoch)
+            optimizer.zero_grad()
+            arena.backward(loss)
+            optimizer.step()
+            return loss.item(), 1
+
+        return self._run(model, graph, train_epoch, epoch_callback)
+
+    def _run(
+        self,
+        model: GraphModel,
+        graph: Graph,
+        train_epoch: TrainEpoch,
+        epoch_callback: Optional[EpochCallback],
+        eval_every: int = 1,
+        **span_attrs,
+    ) -> TrainResult:
+        """The epoch loop every trainer shares.
+
+        Each epoch runs ``epoch_callback``, then ``train_epoch(epoch,
+        optimizer, arena)``, which takes the epoch's optimizer steps and
+        returns ``(summed loss, steps)``; the epoch's loss is their mean.
+        Validation runs every ``eval_every`` epochs and after the last
+        one, and early stopping counts evaluations.  ``span_attrs`` ride
+        the ``trainer:fit`` span.
+        """
+        start = time.perf_counter()
         optimizer = Adam(model.parameters(), lr=self.lr, weight_decay=self.weight_decay)
         stopper = EarlyStopping(patience=self.patience)
         best_state = model.state_dict()
         history = []
         eval_logits = None
-        # One arena per fit: gradient buffers are recycled step to step,
-        # and — since the per-epoch op graph is structurally static — the
-        # backward schedule is derived once and replayed thereafter.
+        # One arena per fit: gradient buffers are recycled step to step.
         arena = GradArena()
 
         epochs_run = 0
-        fit_span = obs.span("trainer:fit", max_epochs=self.max_epochs)
+        val_acc = 0.0
+        fit_span = obs.span("trainer:fit", max_epochs=self.max_epochs, **span_attrs)
         with fit_span:
             for epoch in range(self.max_epochs):
                 fault_point("trainer:epoch", key=epoch)
@@ -115,24 +148,23 @@ class Trainer:
                         epoch_callback(epoch, model, eval_logits)
 
                     model.train()
-                    with arena.record():
-                        logits = model(graph)
-                        loss = loss_fn(model, logits, epoch)
-                    optimizer.zero_grad()
-                    arena.backward(loss)
-                    optimizer.step()
+                    total, steps = train_epoch(epoch, optimizer, arena)
+                    loss = total / max(steps, 1)
 
-                    eval_logits = model.predict_logits(graph)
-                    val_acc = accuracy(eval_logits, graph.labels, graph.val_index)
+                    evaluate = (epoch + 1) % eval_every == 0 or epoch + 1 == self.max_epochs
+                    if evaluate:
+                        eval_logits = model.predict_logits(graph)
+                        val_acc = accuracy(eval_logits, graph.labels, graph.val_index)
                     if epoch_span:
-                        epoch_span.set(loss=loss.item(), val_accuracy=val_acc)
+                        epoch_span.set(loss=loss, val_accuracy=val_acc, steps=steps)
                 if self.record_history:
-                    history.append({"epoch": epoch, "loss": loss.item(), "val_accuracy": val_acc})
-                should_stop = stopper.update(val_acc, epoch)
-                if stopper.improved:
-                    best_state = model.state_dict()
-                if should_stop and epoch + 1 >= self.min_epochs:
-                    break
+                    history.append({"epoch": epoch, "loss": loss, "val_accuracy": val_acc})
+                if evaluate:
+                    should_stop = stopper.update(val_acc, epoch)
+                    if stopper.improved:
+                        best_state = model.state_dict()
+                    if should_stop and epoch + 1 >= self.min_epochs:
+                        break
             if fit_span:
                 fit_span.set(epochs_run=epochs_run, best_epoch=stopper.best_epoch)
 

@@ -18,6 +18,7 @@ from repro.core.rdd import RDDTrainer
 from repro.models.gcn import GCN
 from repro.obs import EVENT_LOG_NAME
 from repro.training.sampled import SampledTrainer
+from repro.training.trainer import Trainer
 
 
 def read_log(run_dir):
@@ -99,3 +100,28 @@ class TestSampledRDDSpans:
         assert with_obs.base_test_accuracies == without_obs.base_test_accuracies
         for a, b in zip(with_obs.base_results, without_obs.base_results):
             np.testing.assert_array_equal(a.predictions, b.predictions)
+
+
+class TestEpochSpanParity:
+    def test_full_and_sampled_fits_emit_the_same_epoch_fields(self, tiny_graph, tmp_path):
+        # Both trainers run one epoch loop, so an obs reader or a history
+        # consumer sees the same fields whichever mode trained the model.
+        trainers = {
+            "full": Trainer(max_epochs=2, patience=50, record_history=True),
+            "sampled": SampledTrainer(
+                fanouts=(3, 3), batch_size=8, max_epochs=2, patience=50, record_history=True
+            ),
+        }
+        fields, history_keys = {}, {}
+        for mode, trainer in trainers.items():
+            obs.enable(tmp_path / mode)
+            result = trainer.fit(make_gcn(tiny_graph), tiny_graph)
+            obs.disable()
+            spans = [e for e in read_log(tmp_path / mode) if e.get("name") == "epoch"]
+            assert len(spans) == 2
+            fields[mode] = {frozenset(span) for span in spans}
+            history_keys[mode] = {frozenset(row) for row in result.history}
+        assert fields["full"] == fields["sampled"]
+        (span_fields,) = fields["full"]
+        assert {"loss", "val_accuracy", "steps"} <= span_fields
+        assert history_keys["full"] == history_keys["sampled"]

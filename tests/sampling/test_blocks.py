@@ -12,6 +12,8 @@ local ids, ``np.lexsort`` CSR order), kept here as the reference: every
 block and every random draw must match it bitwise.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -121,6 +123,28 @@ class TestFullFanoutParity:
         assert_full_fanout_rows_match_global(
             tiny_graph.adjacency, tiny_graph.train_index[:8], dtype=np.float32
         )
+
+    def test_float32_build_ignores_stale_buffer_contents(self, tiny_graph):
+        # Pooled value buffers hold whatever an earlier batch left there;
+        # here a signaling-NaN pattern, which warns if it is ever cast.
+        poisoned, clean = (
+            BlockBuilder(tiny_graph.adjacency, (2, 2), seed=4, dtype=np.float32)
+            for _ in range(2)
+        )
+        for builder in (poisoned, clean):
+            builder.build(tiny_graph.train_index)  # grows the pooled buffers
+        for (_, kind), buffer in poisoned._pool._buffers.items():
+            if kind == "data":
+                buffer.view(np.uint32)[:] = 0x7FA00000
+        seeds = tiny_graph.train_index[:8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = poisoned.build(seeds)
+        want = clean.build(seeds)
+        for x, y in zip(got.blocks, want.blocks):
+            assert x.adjacency.dtype == y.adjacency.dtype == np.float32
+            np.testing.assert_array_equal(x.input_nodes, y.input_nodes)
+            np.testing.assert_array_equal(x.adjacency.toarray(), y.adjacency.toarray())
 
     @settings(max_examples=25, deadline=None)
     @given(
