@@ -89,10 +89,6 @@ class RDDConfig:
     # seeds and as preferred neighbors on over-fanout rows — the "what
     # you distill from matters" knob unique to RDD.
     reliability_sampling: bool = True
-    # Full-graph validation forward every N sampled epochs (1 = the
-    # full-batch schedule; larger amortizes the one remaining
-    # graph-sized allocation).  Only used when sampler="neighbor".
-    eval_every: int = 1
     # Base-model neighbor aggregation: "gcn" (the paper's weighted mean)
     # or a robust estimator from repro.robustness.aggregation
     # ("soft_median" / "trimmed_mean") — the poisoning-defense baselines.
@@ -140,8 +136,6 @@ class RDDConfig:
             raise ConfigError(f"fanouts must be a non-empty tuple of ints >= 1, got {self.fanouts}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(
                 f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"

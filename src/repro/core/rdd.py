@@ -165,7 +165,6 @@ class RDDTrainer:
                 fanouts=config.fanouts,
                 batch_size=config.batch_size,
                 sample_seed=seed,
-                eval_every=config.eval_every,
                 **trainer_kwargs,
             )
         else:

@@ -103,7 +103,6 @@ class HarnessConfig:
     sampler: str = "full"
     fanouts: Sequence[int] = (10, 10)
     batch_size: int = 512
-    eval_every: int = 1
     # Base-model neighbor aggregation for the GCN/RDD runners: "gcn"
     # (default) or a robust estimator ("soft_median" / "trimmed_mean")
     # from repro.robustness.aggregation — the poisoning-defense knob.
@@ -126,7 +125,6 @@ class HarnessConfig:
             fanouts=tuple(self.fanouts),
             batch_size=self.batch_size,
             sample_seed=sample_seed,
-            eval_every=self.eval_every,
             max_epochs=self.max_epochs,
             patience=self.patience,
             lr=self.lr,
@@ -145,7 +143,6 @@ class HarnessConfig:
             sampler=self.sampler,
             fanouts=tuple(self.fanouts),
             batch_size=self.batch_size,
-            eval_every=self.eval_every,
             aggregation=self.aggregation,
         )
         base.update(overrides)
@@ -181,7 +178,6 @@ class HarnessConfig:
             fingerprint["sampler"] = self.sampler
             fingerprint["fanouts"] = tuple(self.fanouts)
             fingerprint["batch_size"] = self.batch_size
-            fingerprint["eval_every"] = self.eval_every
         if self.aggregation != "gcn":
             # Same conditional-key pattern as sampling: robust
             # aggregation changes results, but the default leaves old

@@ -1,10 +1,10 @@
 """Table 4: single-model comparison on the citation networks.
 
 The paper runs LP, Planetoid, and seven GCN variants; several baselines'
-numbers are copied from their publications.  We *run* every method that is
-architecturally local (LP, GCN, GAT, APPNP, MLP as an extra reference) and
-compare against RDD's single model; pulled-from-paper methods are reported
-as reference-only rows.
+numbers are copied from their publications.  This harness reruns every
+method (Planetoid, LGCN and GPNN as simplified rebuilds; see their module
+docstrings), plus an MLP as an extra reference, and compares them against
+RDD's single model.
 """
 
 from __future__ import annotations
@@ -41,24 +41,17 @@ PAPER_TABLE4 = {
                "DGCN": 80.0, "APPNP": 80.1, "GAT": 79.0, "GCN": 79.3, "RDD(Single)": 80.7},
 }
 
-# Every Table 4 method is implemented and rerun in this repository —
-# including the ones the paper itself only reprinted from publications
-# (Planetoid, LGCN, GPNN are simplified but faithful-in-kind rebuilds;
-# see their module docstrings).  The reference-row machinery remains for
-# completeness but is empty.
-REFERENCE_ONLY = ()
-
 DEFAULT_DATASETS = ("cora", "citeseer", "pubmed")
 
 
 def run(config: Optional[HarnessConfig] = None, datasets: Sequence[str] = DEFAULT_DATASETS) -> ExperimentReport:
-    """Run LP / GCN / GAT / APPNP / MLP / RDD(Single) per dataset."""
+    """Rerun every Table 4 method, plus the MLP reference, per dataset."""
     config = config or HarnessConfig()
     report = ExperimentReport(
         experiment="Table 4: single-model comparison",
         notes=(
             "Shape target: RDD(Single) > GCN and > LP by a wide margin; "
-            "reference-only rows reprint paper numbers (not rerun, as in the paper)."
+            "every method is rerun (Planetoid, LGCN and GPNN as simplified rebuilds)."
         ),
     )
     for dataset in datasets:
@@ -101,14 +94,5 @@ def run(config: Optional[HarnessConfig] = None, datasets: Sequence[str] = DEFAUL
             paper = PAPER_TABLE4[dataset].get(method.replace(" (extra)", ""), float("nan"))
             report.rows.append(
                 {"dataset": dataset, "method": method, "test_accuracy": acc, "paper_accuracy_pct": paper}
-            )
-        for method in REFERENCE_ONLY:
-            report.rows.append(
-                {
-                    "dataset": dataset,
-                    "method": f"{method} (paper value, not rerun)",
-                    "test_accuracy": float("nan"),
-                    "paper_accuracy_pct": PAPER_TABLE4[dataset][method],
-                }
             )
     return report

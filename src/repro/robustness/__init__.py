@@ -22,9 +22,9 @@ measures that claim:
 * :mod:`repro.robustness.report` — Table-style JSON reports under
   ``reports/`` plus the rendered defense-margin summary.
 
-Entry points: ``repro attack`` (CLI), ``benchmarks/bench_robustness.py``
-(BENCH_robustness.json, gated by ``check_bench --bench robustness``), and
-``scripts/robustness_smoke.py`` (CI).
+Entry points: ``repro attack`` (CLI) and ``scripts/robustness_smoke.py``
+(CI).  The defense margins are checked by ``TestDefenseFloors`` in
+``tests/robustness/test_sweep.py``.
 """
 
 from repro.robustness.attacks import (

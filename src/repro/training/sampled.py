@@ -16,9 +16,8 @@ reliability refresh plugs in unchanged), the obs spans and the
 * ``loss_fn`` is batch-aware — ``(model, logits, seeds, epoch)`` where
   ``logits`` covers only the (sorted, deduplicated) batch ``seeds``.  It
   may return ``None`` to skip a batch none of whose loss terms apply.
-* validation still needs full-graph eval logits; ``eval_every`` lets
-  memory-bound runs amortize that full forward over several epochs
-  (early stopping then counts evaluations, not epochs).
+* validation still runs one full-graph eval forward per epoch, the
+  one graph-sized allocation left in the loop.
 
 With full fanouts, ``batch_size >= len(pool)``, and dropout disabled,
 one epoch is a single batch whose blocks reproduce the global Â rows
@@ -100,12 +99,6 @@ class SampledTrainer(Trainer):
     sample_seed:
         Seeds the two sampling streams (batch shuffle, neighbor
         selection), independent of the model's init/dropout RNG.
-    eval_every:
-        Run the full-graph validation forward every N epochs.  1 (the
-        default) matches the full-batch trainer's schedule; larger
-        values trade early-stopping granularity for memory/throughput —
-        the full-graph eval forward is the one remaining graph-sized
-        allocation in the loop.
     """
 
     def __init__(
@@ -113,7 +106,6 @@ class SampledTrainer(Trainer):
         fanouts: Union[int, Sequence[int]] = (10, 10),
         batch_size: int = 512,
         sample_seed: int = 0,
-        eval_every: int = 1,
         **trainer_kwargs,
     ):
         super().__init__(**trainer_kwargs)
@@ -124,11 +116,8 @@ class SampledTrainer(Trainer):
             raise TrainingError(f"fanouts must be a non-empty tuple of ints >= 1, got {fanouts}")
         if batch_size < 1:
             raise TrainingError(f"batch_size must be >= 1, got {batch_size}")
-        if eval_every < 1:
-            raise TrainingError(f"eval_every must be >= 1, got {eval_every}")
         self.batch_size = int(batch_size)
         self.sample_seed = int(sample_seed)
-        self.eval_every = int(eval_every)
 
     # ------------------------------------------------------------------
     def _model_fanouts(self, model: GraphModel) -> tuple:
@@ -245,7 +234,6 @@ class SampledTrainer(Trainer):
             graph,
             train_epoch,
             epoch_callback,
-            eval_every=self.eval_every,
             sampler="neighbor",
             fanouts=list(fanouts),
             batch_size=self.batch_size,

@@ -113,7 +113,6 @@ class Trainer:
         graph: Graph,
         train_epoch: TrainEpoch,
         epoch_callback: Optional[EpochCallback],
-        eval_every: int = 1,
         **span_attrs,
     ) -> TrainResult:
         """The epoch loop every trainer shares.
@@ -121,9 +120,8 @@ class Trainer:
         Each epoch runs ``epoch_callback``, then ``train_epoch(epoch,
         optimizer, arena)``, which takes the epoch's optimizer steps and
         returns ``(summed loss, steps)``; the epoch's loss is their mean.
-        Validation runs every ``eval_every`` epochs and after the last
-        one, and early stopping counts evaluations.  ``span_attrs`` ride
-        the ``trainer:fit`` span.
+        Validation runs every epoch and feeds early stopping.
+        ``span_attrs`` ride the ``trainer:fit`` span.
         """
         start = time.perf_counter()
         optimizer = Adam(model.parameters(), lr=self.lr, weight_decay=self.weight_decay)
@@ -135,7 +133,6 @@ class Trainer:
         arena = GradArena()
 
         epochs_run = 0
-        val_acc = 0.0
         fit_span = obs.span("trainer:fit", max_epochs=self.max_epochs, **span_attrs)
         with fit_span:
             for epoch in range(self.max_epochs):
@@ -151,20 +148,17 @@ class Trainer:
                     total, steps = train_epoch(epoch, optimizer, arena)
                     loss = total / max(steps, 1)
 
-                    evaluate = (epoch + 1) % eval_every == 0 or epoch + 1 == self.max_epochs
-                    if evaluate:
-                        eval_logits = model.predict_logits(graph)
-                        val_acc = accuracy(eval_logits, graph.labels, graph.val_index)
+                    eval_logits = model.predict_logits(graph)
+                    val_acc = accuracy(eval_logits, graph.labels, graph.val_index)
                     if epoch_span:
                         epoch_span.set(loss=loss, val_accuracy=val_acc, steps=steps)
                 if self.record_history:
                     history.append({"epoch": epoch, "loss": loss, "val_accuracy": val_acc})
-                if evaluate:
-                    should_stop = stopper.update(val_acc, epoch)
-                    if stopper.improved:
-                        best_state = model.state_dict()
-                    if should_stop and epoch + 1 >= self.min_epochs:
-                        break
+                should_stop = stopper.update(val_acc, epoch)
+                if stopper.improved:
+                    best_state = model.state_dict()
+                if should_stop and epoch + 1 >= self.min_epochs:
+                    break
             if fit_span:
                 fit_span.set(epochs_run=epochs_run, best_epoch=stopper.best_epoch)
 

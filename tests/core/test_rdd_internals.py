@@ -101,3 +101,36 @@ class TestTeacherEvolution:
         # With a single base model there is no teacher, hence no RDD loss calls.
         assert spy.gammas == []
         assert len(result.base_test_accuracies) == 1
+
+
+class _CountingGCN(GCN):
+    """GCN whose every full-graph forward bumps a shared counter."""
+
+    def __init__(self, *args, counter, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._counter = counter
+
+    def forward(self, graph):
+        self._counter[0] += 1
+        return super().forward(graph)
+
+
+class TestForwardsPerEpoch:
+    def test_distilled_student_runs_two_full_graph_forwards_per_epoch(self, small_citation):
+        # The reliability refresh reuses the trainer's validation logits,
+        # so each epoch runs one training and one validation forward; the
+        # epoch-0 bootstrap and the best-checkpoint restore add one each.
+        epochs = 12
+        counters = []
+
+        def factory(graph, rng):
+            counters.append([0])
+            return _CountingGCN(
+                graph.num_features, graph.num_classes, rng, hidden=16, dropout=0.5,
+                counter=counters[-1],
+            )
+
+        config = RDDConfig(num_base_models=2, max_epochs=epochs, patience=epochs)
+        result = RDDTrainer(config, model_factory=factory).fit(small_citation, seed=0)
+        assert result.base_results[1].epochs_run == epochs
+        assert counters[1][0] == 2 * epochs + 2 == 26

@@ -68,9 +68,8 @@ class TestHarnessesProduceRows:
         report = table4.run(TINY, datasets=("cora",))
         methods = {r["method"] for r in report.rows}
         assert "LP" in methods and "RDD(Single)" in methods
-        reference_rows = [r for r in report.rows if "not rerun" in r["method"]]
-        assert len(reference_rows) == len(table4.REFERENCE_ONLY)
-        assert all(math.isnan(r["test_accuracy"]) for r in reference_rows)
+        assert not any("not rerun" in r["method"] for r in report.rows)
+        assert all(math.isfinite(r["test_accuracy"]) for r in report.rows)
 
     def test_table5(self):
         report = table5.run(TINY, datasets=("cora",), depths=(2,))

@@ -3,14 +3,16 @@
 Sampled epochs must emit one ``sampler:batch`` span per optimizer step
 (carrying batch composition attrs, including the per-batch reliable-seed
 count for RDD students), without perturbing the recorded trajectory —
-obs on/off results stay bitwise identical.  The wall-time budget itself
-(≤1.05× enabled vs disabled) is enforced by the perf-marked
-``benchmarks/bench_obs.py``, which now times the sampled path too.
+obs on/off results stay bitwise identical.  An RDD fit writes a fixed
+number of records per student, epoch and optimizer step, which bounds
+what tracing adds to an epoch.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
+import pytest
 
 import repro.obs as obs
 from repro.core.config import RDDConfig
@@ -125,3 +127,31 @@ class TestEpochSpanParity:
         (span_fields,) = fields["full"]
         assert {"loss", "val_accuracy", "steps"} <= span_fields
         assert history_keys["full"] == history_keys["sampled"]
+
+
+class TestEventVolume:
+    @pytest.mark.parametrize(
+        "extra, total",
+        [({}, 25), (dict(sampler="neighbor", fanouts=(5, 5), batch_size=64), 38)],
+        ids=["full", "sampled"],
+    )
+    def test_records_per_student_epoch_and_step(self, small_citation, tmp_path, extra, total):
+        students, epochs = 2, 6
+        obs.enable(tmp_path)
+        # patience == max_epochs: every student runs the fixed epoch count.
+        config = RDDConfig(num_base_models=students, max_epochs=epochs, patience=epochs, **extra)
+        RDDTrainer(config).fit(small_citation, seed=0)
+        events = read_log(tmp_path)
+        expected = {
+            ("run", "start"): 1,
+            ("span", "trainer:fit"): students,
+            ("span", "rdd:student"): students,
+            ("point", "rdd_student_result"): students,
+            ("span", "epoch"): students * epochs,
+            ("point", "rdd_epoch"): (students - 1) * epochs,
+        }
+        if extra:
+            steps = sum(e["steps"] for e in events if e["name"] == "epoch")
+            expected[("span", "sampler:batch")] = steps
+        assert Counter((e["kind"], e["name"]) for e in events) == expected
+        assert len(events) == total

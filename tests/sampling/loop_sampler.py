@@ -1,8 +1,6 @@
 """The per-node Python loop that ``repro.sampling.sample_adjacent`` replaced.
 
-It is the oracle of ``tests/sampling/test_neighbor.py::TestLoopOracle``
-and the timed baseline of ``benchmarks/bench_sampling.py`` (the
-vectorized kernel must beat it by at least 5x on a 10k-seed batch).
+It is the oracle of ``tests/sampling/test_neighbor.py::TestLoopOracle``.
 """
 
 from __future__ import annotations

@@ -50,12 +50,42 @@ class TestExamplesRun:
         assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-class TestDesignReferences:
-    def test_bench_files_mentioned_in_design_exist(self):
-        design = (REPO / "DESIGN.md").read_text()
-        for match in re.findall(r"bench_\w+\.py", design):
-            assert (REPO / "benchmarks" / match).exists(), f"DESIGN references missing {match}"
+# Every doc a reader follows to find code, scripts or results.
+PATH_DOCS = sorted(
+    [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "reports/README.md",
+        "benchmarks/README.md",
+        "examples/README.md",
+        ".claude/skills/verify/SKILL.md",
+    ]
+    + [str(path.relative_to(REPO)) for path in (REPO / "docs").glob("*.md")]
+)
+# A repository path: one of these top-level directories, not preceded by
+# another path component (so `/tmp/tests/x` does not count).
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:benchmarks|scripts|bench|tests|examples|docs|reports|src/repro)/[\w./-]*)"
+)
 
+
+class TestDocPathReferences:
+    @pytest.mark.parametrize("name", PATH_DOCS)
+    def test_named_paths_exist(self, name):
+        # A doc that names a deleted script, bench, baseline or module
+        # fails here.
+        doc = (REPO / name).read_text()
+        named = {match.rstrip(".") for match in REPO_PATH.findall(doc)}
+        named |= set(re.findall(r"BENCH_\w+\.json", doc))
+        named |= {
+            f"benchmarks/{match}" for match in re.findall(r"(?<![\w/])bench_\w+\.py", doc)
+        }
+        missing = sorted(path for path in named if not (REPO / path).exists())
+        assert not missing, f"{name} names missing paths: {missing}"
+
+
+class TestDesignReferences:
     def test_experiment_index_covers_all_paper_artifacts(self):
         design = (REPO / "DESIGN.md").read_text()
         for artifact in ("Figure 1", "Table 3", "Table 4", "Table 5", "Table 6",

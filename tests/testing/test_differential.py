@@ -22,8 +22,9 @@ from repro.datasets.citation import cora_like
 from repro.evaluation.common import HarnessConfig, load_graphs, run_over_seeds, run_rdd
 from repro.models.base import softmax_rows
 from repro.core import RDDConfig, RDDTrainer
+import repro.core.rdd as rdd_module
 from repro.training import parallel
-from repro.training.trainer import Trainer
+from repro.training.trainer import Trainer, supervised_loss
 from repro.training.records import results_bitwise_equal
 from tests.elementary_tape import elementary_tape
 
@@ -47,6 +48,31 @@ MODEL_ZOO = [
     "APPNP",
     "MLP",
 ]
+
+
+# Taped nodes reachable from one supervised step's loss, per zoo model,
+# with the fused kernels (the elementary chains tape strictly more).
+FUSED_TAPED_NODES = {
+    "GCN": 5,
+    "SGC": 2,
+    "ChebNet": 12,
+    "GraphSAGE": 7,
+    "NGCN": 10,
+    "DGCN": 12,
+    "LGCN": 26,
+    "GPNN": 13,
+    "ResGCN": 8,
+    "DenseGCN": 6,
+    "JKNet": 5,
+    "GAT": 82,
+    "APPNP": 45,
+    "MLP": 5,
+}
+
+
+def taped_nodes(loss):
+    """Tape nodes (op outputs, not leaves) reachable from ``loss``."""
+    return sum(1 for node in loss._topological_order() if node._backward is not None)
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +159,41 @@ class TestFusedVsLegacyTraining:
         with elementary_tape():
             legacy = run()
         assert results_bitwise_equal(fused, legacy)
+
+    @pytest.mark.parametrize("name", MODEL_ZOO)
+    def test_zoo_step_tapes_pinned_fused_node_count(self, name, graph):
+        # A layer or loss that silently fell back to its elementary chain
+        # would tape more nodes than the fused kernels do.
+        def count():
+            model = make_model(name, graph)
+            model.train()
+            return taped_nodes(supervised_loss(graph)(model, model(graph), 0))
+
+        fused = count()
+        with elementary_tape():
+            legacy = count()
+        assert fused == FUSED_TAPED_NODES[name]
+        assert fused < legacy
+
+    def test_rdd_student_step_tapes_pinned_fused_node_count(self, graph, monkeypatch):
+        # The distilled student's last step carries all three Eq. 10 terms
+        # (L1, L2 and Lreg).
+        counts = []
+        original = rdd_module.rdd_student_loss
+
+        def counting(*args, **kwargs):
+            loss = original(*args, **kwargs)
+            counts.append(taped_nodes(loss))
+            return loss
+
+        monkeypatch.setattr(rdd_module, "rdd_student_loss", counting)
+
+        def count():
+            RDDTrainer(RDDConfig(num_base_models=2, max_epochs=6, patience=6)).fit(graph, seed=0)
+            return counts[-1]
+
+        fused = count()
+        with elementary_tape():
+            legacy = count()
+        assert fused == 21
+        assert fused < legacy

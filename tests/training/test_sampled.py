@@ -66,8 +66,6 @@ class TestConstruction:
             SampledTrainer(fanouts=(3, 0))
         with pytest.raises(TrainingError):
             SampledTrainer(batch_size=0)
-        with pytest.raises(TrainingError):
-            SampledTrainer(eval_every=0)
 
     def test_needs_layered_model(self, tiny_graph):
         class Opaque:
@@ -119,25 +117,6 @@ class TestTrainingLoop:
                 ).fit(model, tiny_graph).predictions
             )
         assert not np.array_equal(preds[0], preds[1])
-
-    def test_eval_every_amortizes_validation(self, tiny_graph):
-        model = make_gcn(tiny_graph)
-        calls = {"n": 0}
-        original = GCN.predict_logits
-
-        def counting(self, graph):
-            calls["n"] += 1
-            return original(self, graph)
-
-        GCN.predict_logits = counting
-        try:
-            SampledTrainer(
-                fanouts=(3, 3), batch_size=8, max_epochs=8, patience=50, eval_every=4
-            ).fit(model, tiny_graph)
-        finally:
-            GCN.predict_logits = original
-        # Evals at epochs 4 and 8 plus the final best-state forward.
-        assert calls["n"] == 3
 
     def test_none_loss_skips_batch(self, tiny_graph):
         model = make_gcn(tiny_graph)
@@ -295,14 +274,6 @@ class TestSampledRDD:
         on_preds = on.base_results[1].predictions
         off_preds = off.base_results[1].predictions
         assert not np.array_equal(on_preds, off_preds)
-
-    def test_eval_every_runs(self, tiny_graph):
-        config = RDDConfig(
-            num_base_models=2, max_epochs=6, patience=50, hidden=16,
-            sampler="neighbor", fanouts=(3, 3), batch_size=10, eval_every=3,
-        )
-        report = RDDTrainer(config).fit(tiny_graph, seed=0)
-        assert all(r.epochs_run == 6 for r in report.base_results)
 
 
 class TestSeedSixCollapse:
