@@ -2,8 +2,8 @@
 
 The paper argues Bagging has high diversity / weak bases, BANs low
 diversity / strong bases, and RDD both.  This bench measures pairwise
-disagreement and the ambiguity decomposition for all four ensembles
-(including Snapshot, §2.3) and asserts the ordering the paper claims.
+disagreement and the ambiguity decomposition for the three ensembles
+(Bagging, BANs, RDD) and asserts the ordering the paper claims.
 """
 
 from __future__ import annotations

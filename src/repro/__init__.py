@@ -13,13 +13,18 @@ Package map:
 
 * :mod:`repro.tensor`   — numpy autodiff engine (PyTorch stand-in)
 * :mod:`repro.nn`       — layers, optimizers, schedules
-* :mod:`repro.graph`    — graph container, normalizations, PageRank
+* :mod:`repro.graph`    — graph container, normalizations, PageRank, deltas
 * :mod:`repro.datasets` — calibrated synthetic citation networks
-* :mod:`repro.models`   — GCN / ResGCN / DenseGCN / JK-Net / GAT / APPNP / MLP
-* :mod:`repro.baselines`— LP, Self/Co-Training, Bagging, BANs, Mean Teacher
+* :mod:`repro.models`   — GCN / ResGCN / DenseGCN / JK-Net / GAT / APPNP /
+  SGC / GraphSAGE / NGCN / DGCN / LGCN / GPNN / MLP
+* :mod:`repro.baselines`— LP, Planetoid, Bagging, BANs
 * :mod:`repro.core`     — Reliable Data Distillation (the contribution)
-* :mod:`repro.training` — trainer loop, metrics, records, seeding
+* :mod:`repro.sampling` — neighbor sampling for mini-batch training
+* :mod:`repro.training` — trainer loops, checkpoints, records, seeding
 * :mod:`repro.evaluation` — one harness per paper table/figure
+* :mod:`repro.analysis` — diversity, calibration, over-smoothing, reliability
+* :mod:`repro.robustness` — structure attacks, robust aggregation, defense sweep
+* :mod:`repro.obs`      — spans, event logs, ``repro report``
 * :mod:`repro.serving`  — model artifacts, micro-batched prediction, HTTP API
 """
 

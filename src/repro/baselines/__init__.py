@@ -2,20 +2,12 @@
 
 from repro.baselines.bagging import BaggingEnsemble
 from repro.baselines.bans import BANsEnsemble
-from repro.baselines.co_training import CoTraining
 from repro.baselines.label_propagation import LabelPropagation
-from repro.baselines.mean_teacher import MeanTeacher
 from repro.baselines.planetoid import Planetoid
-from repro.baselines.self_training import SelfTraining
-from repro.baselines.snapshot import SnapshotEnsemble
 
 __all__ = [
     "LabelPropagation",
-    "SelfTraining",
-    "CoTraining",
     "BaggingEnsemble",
     "BANsEnsemble",
-    "MeanTeacher",
-    "SnapshotEnsemble",
     "Planetoid",
 ]

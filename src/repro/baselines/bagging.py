@@ -10,15 +10,14 @@ average of softmax outputs.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.ensemble import uniform_softmax_ensemble
+from repro.core.ensemble import uniform_ensemble_result
 from repro.graph.graph import Graph
-from repro.models.base import GraphModel, softmax_rows
+from repro.models.base import GraphModel
 from repro.models.gcn import GCN
-from repro.tensor.functional import accuracy
 from repro.training.checkpoint import CheckpointStore
 from repro.training.parallel import get_shared, parallel_map
 from repro.training.records import EnsembleResult, TrainResult
@@ -30,11 +29,7 @@ def _fit_bagging_member(rng) -> TrainResult:
     """Train one base model (module-level so it pickles to worker
     processes; ensemble and graph arrive via the fork-shared payload)."""
     ensemble, graph = get_shared()
-    model = ensemble._make_model(graph, rng)
-    result = ensemble.trainer.fit(model, graph)
-    if result.predictions is None:  # custom trainer without predictions
-        result.predictions = model.predict_logits(graph)
-    return result
+    return ensemble.trainer.fit(ensemble._make_model(graph, rng), graph)
 
 
 class BaggingEnsemble:
@@ -103,8 +98,6 @@ class BaggingEnsemble:
         """
         start = time.perf_counter()
         rngs = spawn_rngs(seed, self.num_base_models)
-        base_probs: List[np.ndarray] = []
-        base_test: List[float] = []
 
         on_result, done = None, None
         if checkpoint is not None:
@@ -125,21 +118,4 @@ class BaggingEnsemble:
             on_result=on_result,
             completed=done,
         )
-        for result in base_results:
-            probs = softmax_rows(result.predictions)
-            base_probs.append(probs)
-            base_test.append(accuracy(probs, graph.labels, graph.test_index))
-
-        ensemble_probs = uniform_softmax_ensemble(base_probs)
-        curve = [
-            accuracy(uniform_softmax_ensemble(base_probs[: t + 1]), graph.labels, graph.test_index)
-            for t in range(len(base_probs))
-        ]
-        return EnsembleResult(
-            ensemble_test_accuracy=accuracy(ensemble_probs, graph.labels, graph.test_index),
-            ensemble_val_accuracy=accuracy(ensemble_probs, graph.labels, graph.val_index),
-            base_test_accuracies=base_test,
-            base_results=base_results,
-            wall_time_s=time.perf_counter() - start,
-            ensemble_curve=curve,
-        )
+        return uniform_ensemble_result(graph, base_results, start)

@@ -14,13 +14,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core.ensemble import uniform_softmax_ensemble
+from repro.core.ensemble import uniform_ensemble_result
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel, softmax_rows
 from repro.models.gcn import GCN
 from repro.tensor import ops
-from repro.tensor.functional import accuracy, kl_divergence, masked_cross_entropy
+from repro.tensor.functional import kl_divergence, masked_cross_entropy
 from repro.training.records import EnsembleResult, TrainResult
 from repro.training.seed import spawn_rngs
 from repro.training.trainer import Trainer
@@ -68,39 +68,17 @@ class BANsEnsemble:
     def fit(self, graph: Graph, seed: int = 0) -> EnsembleResult:
         """Train the KD chain; returns ensemble and per-generation metrics."""
         start = time.perf_counter()
-        rngs = spawn_rngs(seed, self.num_base_models)
         base_results: List[TrainResult] = []
-        base_probs: List[np.ndarray] = []
-        base_test: List[float] = []
         teacher_probs: Optional[np.ndarray] = None
 
-        for rng in rngs:
+        for rng in spawn_rngs(seed, self.num_base_models):
             model = self._make_model(graph, rng)
-            if teacher_probs is None:
-                result = self.trainer.fit(model, graph)
-            else:
-                result = self.trainer.fit(
-                    model, graph, loss_fn=self._kd_loss(graph, teacher_probs)
-                )
+            loss_fn = None if teacher_probs is None else self._kd_loss(graph, teacher_probs)
+            result = self.trainer.fit(model, graph, loss_fn=loss_fn)
             base_results.append(result)
-            probs = softmax_rows(model.predict_logits(graph))
-            base_probs.append(probs)
-            base_test.append(accuracy(probs, graph.labels, graph.test_index))
-            teacher_probs = probs  # next generation learns from this one
-
-        ensemble_probs = uniform_softmax_ensemble(base_probs)
-        curve = [
-            accuracy(uniform_softmax_ensemble(base_probs[: t + 1]), graph.labels, graph.test_index)
-            for t in range(len(base_probs))
-        ]
-        return EnsembleResult(
-            ensemble_test_accuracy=accuracy(ensemble_probs, graph.labels, graph.test_index),
-            ensemble_val_accuracy=accuracy(ensemble_probs, graph.labels, graph.val_index),
-            base_test_accuracies=base_test,
-            base_results=base_results,
-            wall_time_s=time.perf_counter() - start,
-            ensemble_curve=curve,
-        )
+            # The next generation learns from this one's best checkpoint.
+            teacher_probs = softmax_rows(result.predictions)
+        return uniform_ensemble_result(graph, base_results, start)
 
     def _kd_loss(self, graph: Graph, teacher_probs: np.ndarray):
         """Supervised loss + KD toward the previous generation (all nodes).

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-
-# Neighbor-aggregation variants for the base model.  Defined here (the
-# lowest layer that needs the names) so both the config validation and
-# repro.robustness.aggregation — which implements the non-"gcn" ones —
-# share one source of truth without a core → robustness import.
-AGGREGATIONS = ("gcn", "soft_median", "trimmed_mean")
 
 
 @dataclass
@@ -84,31 +79,19 @@ class RDDConfig:
     # BlockBuilder convention).  Only used when sampler="neighbor".
     fanouts: "tuple[int, ...]" = (10, 10)
     batch_size: int = 512
-    # Reliability-prioritized sampling (sampler="neighbor" students
-    # t >= 2 only): reliable nodes get double weight both as early-epoch
-    # seeds and as preferred neighbors on over-fanout rows — the "what
-    # you distill from matters" knob unique to RDD.
-    reliability_sampling: bool = True
-    # Base-model neighbor aggregation: "gcn" (the paper's weighted mean)
-    # or a robust estimator from repro.robustness.aggregation
-    # ("soft_median" / "trimmed_mean") — the poisoning-defense baselines.
-    # Non-"gcn" aggregations require sampler="full" (robust reweighting
-    # operates on the whole Â, not sampled blocks).
-    aggregation: str = "gcn"
-    # Soft-median softmax temperature (T → ∞ degenerates to "gcn").
-    robust_temperature: float = 1.0
-    # Trimmed-mean drop fraction per neighborhood, in [0, 0.5).
-    robust_trim: float = 0.45
 
     def __post_init__(self) -> None:
         if self.num_base_models < 1:
             raise ConfigError(f"num_base_models must be >= 1, got {self.num_base_models}")
         if not 0.0 <= self.p <= 100.0:
             raise ConfigError(f"p must be in [0, 100], got {self.p}")
-        if self.gamma_initial < 0.0:
-            raise ConfigError(f"gamma_initial must be >= 0, got {self.gamma_initial}")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        # NaN would pass a plain ``< 0`` check and then silently train as
+        # the No-L2 / No-Lreg ablation (the loss adds a term only when its
+        # coefficient is > 0).
+        if not (math.isfinite(self.gamma_initial) and self.gamma_initial >= 0.0):
+            raise ConfigError(f"gamma_initial must be finite and >= 0, got {self.gamma_initial}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         from repro.core.losses import DISTILL_MODES
@@ -136,23 +119,6 @@ class RDDConfig:
             raise ConfigError(f"fanouts must be a non-empty tuple of ints >= 1, got {self.fanouts}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(
-                f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
-            )
-        if self.aggregation != "gcn" and self.sampler != "full":
-            raise ConfigError(
-                "robust aggregation requires sampler='full' "
-                f"(got aggregation={self.aggregation!r}, sampler={self.sampler!r})"
-            )
-        if self.robust_temperature <= 0.0:
-            raise ConfigError(
-                f"robust_temperature must be > 0, got {self.robust_temperature}"
-            )
-        if not 0.0 <= self.robust_trim < 0.5:
-            raise ConfigError(
-                f"robust_trim must be in [0, 0.5), got {self.robust_trim}"
-            )
 
     def effective_gamma_initial(self) -> float:
         """γ_initial honoring the "No L2" ablation."""

@@ -13,13 +13,17 @@ leaves all argmax decisions and relative weightings unchanged.
 
 from __future__ import annotations
 
+import time
 from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
-from repro.tensor.functional import entropy
+from repro.graph.graph import Graph
+from repro.models.base import softmax_rows
+from repro.tensor.functional import accuracy, entropy
 from repro.tensor.tensor import get_default_dtype
+from repro.training.records import EnsembleResult, TrainResult
 
 
 def ensemble_weight(probs: np.ndarray, pagerank: np.ndarray) -> float:
@@ -137,3 +141,29 @@ def uniform_softmax_ensemble(prob_list: Sequence[np.ndarray]) -> np.ndarray:
     if not prob_list:
         raise ConfigError("cannot ensemble zero models")
     return np.mean(np.stack([np.asarray(p, dtype=get_default_dtype()) for p in prob_list]), axis=0)
+
+
+def uniform_ensemble_result(
+    graph: Graph, base_results: Sequence[TrainResult], start: float
+) -> EnsembleResult:
+    """The uniform softmax mean of trained base models (Bagging / BANs).
+
+    Each member contributes its best-checkpoint logits
+    (``TrainResult.predictions``); ``ensemble_curve`` holds the test
+    accuracy of every prefix of the ensemble, and ``start`` is the
+    ``time.perf_counter()`` reading taken when the fit began.
+    """
+    base_probs = [softmax_rows(result.predictions) for result in base_results]
+    ensemble_probs = uniform_softmax_ensemble(base_probs)
+    curve = [
+        accuracy(uniform_softmax_ensemble(base_probs[: t + 1]), graph.labels, graph.test_index)
+        for t in range(len(base_probs))
+    ]
+    return EnsembleResult(
+        ensemble_test_accuracy=accuracy(ensemble_probs, graph.labels, graph.test_index),
+        ensemble_val_accuracy=accuracy(ensemble_probs, graph.labels, graph.val_index),
+        base_test_accuracies=[accuracy(p, graph.labels, graph.test_index) for p in base_probs],
+        base_results=list(base_results),
+        wall_time_s=time.perf_counter() - start,
+        ensemble_curve=curve,
+    )

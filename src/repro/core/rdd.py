@@ -28,14 +28,14 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import RDDConfig
-from repro.core.ensemble import EnsembleModel, ensemble_weight, uniform_softmax_ensemble
+from repro.core.ensemble import EnsembleModel, ensemble_weight
 from repro.core.losses import RDDLossState, rdd_student_loss, sampled_rdd_student_loss
 from repro.core.reliability import edge_reliability, node_reliability, teacher_context
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel, softmax_rows
 from repro.models.gcn import GCN
 from repro.nn.schedules import cosine_annealing_gamma
-from repro.tensor.functional import accuracy, entropy
+from repro.tensor.functional import accuracy
 from repro.testing.faults import fault_point
 from repro.training.checkpoint import CheckpointStore
 from repro.training.records import EnsembleResult, TrainResult
@@ -86,21 +86,6 @@ class RDDTrainer:
         self._model_factory = model_factory or self._default_factory
 
     def _default_factory(self, graph: Graph, rng: np.random.Generator) -> GraphModel:
-        if self.config.aggregation != "gcn":
-            # Imported lazily: repro.robustness sits above core in the
-            # layering (its sweep harness imports this module).
-            from repro.robustness.aggregation import RobustGCN
-
-            return RobustGCN(
-                graph.num_features,
-                graph.num_classes,
-                rng,
-                hidden=self.config.hidden,
-                dropout=self.config.dropout,
-                aggregation=self.config.aggregation,
-                temperature=self.config.robust_temperature,
-                trim=self.config.robust_trim,
-            )
         return GCN(
             graph.num_features,
             graph.num_classes,
@@ -209,11 +194,7 @@ class RDDTrainer:
             base_results.append(result)
 
             # Trainer.fit already computed the best-checkpoint logits.
-            logits = (
-                result.predictions
-                if result.predictions is not None
-                else model.predict_logits(graph)
-            )
+            logits = result.predictions
             probs = softmax_rows(logits)
             base_test.append(accuracy(probs, graph.labels, graph.test_index))
             weight = (
@@ -388,9 +369,8 @@ class RDDTrainer:
         # Mini-batch student (sampler="neighbor"): Eq. 10 restricted to
         # each batch, over a seed pool that is the union of every node the
         # epoch's loss can touch (labeled ∪ V_b ∪ reliable edge
-        # endpoints).  With ``reliability_sampling`` the reliable nodes
-        # get double weight both as early seeds and as preferred
-        # neighbors on over-fanout rows.
+        # endpoints).  Reliable nodes get double weight both as early
+        # seeds and as preferred neighbors on over-fanout rows.
         def sampled_loss_fn(student: GraphModel, logits, seeds: np.ndarray, epoch: int):
             loss = sampled_rdd_student_loss(graph, logits, state, seeds)
             emit_epoch_event(epoch)
@@ -404,14 +384,12 @@ class RDDTrainer:
                 parts.append(state.edge_src)
                 parts.append(state.edge_dst)
             pool = np.unique(np.concatenate(parts))
-            mask = holder.get("reliable_mask")
-            seed_weights = node_weights = None
-            if config.reliability_sampling and mask is not None:
-                node_weights = 1.0 + mask.astype(np.float64)
-                seed_weights = node_weights[pool]
+            # The trainer runs ``refresh`` before each epoch's plan.
+            mask = holder["reliable_mask"]
+            node_weights = 1.0 + mask.astype(np.float64)
             return SamplingPlan(
                 seeds=pool,
-                seed_weights=seed_weights,
+                seed_weights=node_weights[pool],
                 node_weights=node_weights,
                 reliable_mask=mask,
             )

@@ -12,19 +12,12 @@ from repro.datasets.citation import (
     nell_like,
     pubmed_like,
 )
-from repro.datasets.features import (
-    corrupt_features,
-    generate_topic_features,
-    one_hot_identity_features,
-)
-from repro.datasets.persistence import load_graph, save_graph
+from repro.datasets.features import generate_topic_features, one_hot_identity_features
 from repro.datasets.registry import available_datasets, load_dataset, register_dataset
 from repro.datasets.sbm import generate_dcsbm_graph, sample_block_sizes, sample_dcsbm_edges
 from repro.datasets.splits import max_train_per_class, planetoid_split, resample_train_index
 
 __all__ = [
-    "save_graph",
-    "load_graph",
     "CitationSpec",
     "CORA",
     "CITESEER",
@@ -40,7 +33,6 @@ __all__ = [
     "sample_dcsbm_edges",
     "generate_topic_features",
     "one_hot_identity_features",
-    "corrupt_features",
     "planetoid_split",
     "resample_train_index",
     "max_train_per_class",

@@ -102,22 +102,3 @@ def one_hot_identity_features(num_nodes: int, num_extra: int = 0) -> sp.csr_matr
         pad = sp.csr_matrix((num_nodes, num_extra), dtype=np.float64)
         eye = sp.hstack([eye, pad], format="csr")
     return eye
-
-
-def corrupt_features(features, fraction: float, rng: np.random.Generator):
-    """Return a copy of ``features`` with ``fraction`` of rows shuffled.
-
-    Failure-injection helper: corrupted rows receive another random row's
-    features, destroying their class signal while keeping marginals.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise DatasetError(f"fraction must be in [0, 1], got {fraction}")
-    dense = features.toarray() if sp.issparse(features) else np.array(features, copy=True)
-    n = dense.shape[0]
-    count = int(round(fraction * n))
-    if count == 0:
-        return sp.csr_matrix(dense) if sp.issparse(features) else dense
-    victims = rng.choice(n, size=count, replace=False)
-    donors = rng.integers(0, n, size=count)
-    dense[victims] = dense[donors]
-    return sp.csr_matrix(dense) if sp.issparse(features) else dense

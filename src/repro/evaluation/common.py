@@ -103,10 +103,6 @@ class HarnessConfig:
     sampler: str = "full"
     fanouts: Sequence[int] = (10, 10)
     batch_size: int = 512
-    # Base-model neighbor aggregation for the GCN/RDD runners: "gcn"
-    # (default) or a robust estimator ("soft_median" / "trimmed_mean")
-    # from repro.robustness.aggregation — the poisoning-defense knob.
-    aggregation: str = "gcn"
 
     def trainer(self) -> Trainer:
         """The full-batch trainer (used by every harness regardless of
@@ -143,7 +139,6 @@ class HarnessConfig:
             sampler=self.sampler,
             fanouts=tuple(self.fanouts),
             batch_size=self.batch_size,
-            aggregation=self.aggregation,
         )
         base.update(overrides)
         return RDDConfig(**base)
@@ -178,11 +173,6 @@ class HarnessConfig:
             fingerprint["sampler"] = self.sampler
             fingerprint["fanouts"] = tuple(self.fanouts)
             fingerprint["batch_size"] = self.batch_size
-        if self.aggregation != "gcn":
-            # Same conditional-key pattern as sampling: robust
-            # aggregation changes results, but the default leaves old
-            # checkpoint fingerprints untouched.
-            fingerprint["aggregation"] = self.aggregation
         return fingerprint
 
 

@@ -8,7 +8,7 @@ from repro.graph.normalize import (
     row_normalize,
     row_normalize_features,
 )
-from repro.graph.pagerank import pagerank, personalized_propagation_matrix
+from repro.graph.pagerank import pagerank
 from repro.graph.subgraph import InductiveSplit, induced_subgraph, make_inductive_split
 from repro.graph.stats import GraphStats, edge_homophily, summarize
 from repro.graph.walks import batch_random_walks
@@ -28,7 +28,6 @@ __all__ = [
     "induced_subgraph",
     "make_inductive_split",
     "InductiveSplit",
-    "personalized_propagation_matrix",
     "GraphStats",
     "edge_homophily",
     "summarize",

@@ -70,26 +70,3 @@ def pagerank(
             return new_rank
         rank = new_rank
     return rank
-
-
-def personalized_propagation_matrix(
-    adjacency: sp.spmatrix, alpha: float = 0.1, iterations: int = 10
-) -> np.ndarray:
-    """Dense approximate personalized-PageRank matrix ``Π ≈ α (I - (1-α) Â)^{-1}``.
-
-    Computed by ``iterations`` steps of the APPNP recurrence starting from
-    the identity.  Row ``i`` approximates the PPR distribution seeded at
-    node ``i``.  Only suitable for small graphs (dense ``n × n`` output);
-    the Co-Training baseline uses it for its random-walk confidence scores.
-    """
-    from repro.graph.normalize import gcn_normalize
-
-    if not 0.0 < alpha <= 1.0:
-        raise GraphError(f"alpha must be in (0, 1], got {alpha}")
-    norm = gcn_normalize(adjacency)
-    n = norm.shape[0]
-    result = np.eye(n)
-    identity = np.eye(n)
-    for _ in range(iterations):
-        result = (1.0 - alpha) * (norm @ result) + alpha * identity
-    return result

@@ -2,7 +2,6 @@
 
 from repro.models.appnp import APPNP
 from repro.models.base import GraphModel, softmax_rows
-from repro.models.chebnet import ChebConvolution, ChebNet, rescaled_laplacian
 from repro.models.densegcn import DenseGCN, shrinking_widths
 from repro.models.dgcn import DGCN, ppmi_matrix
 from repro.models.gat import GAT
@@ -37,8 +36,5 @@ __all__ = [
     "split_propagation_matrices",
     "k_largest_neighbor_features",
     "ppmi_matrix",
-    "ChebNet",
-    "ChebConvolution",
-    "rescaled_laplacian",
     "shrinking_widths",
 ]

@@ -60,6 +60,8 @@ class GCN(GraphModel):
                     f"{num_layers}-layer {type(self).__name__} needs {num_layers - 1} "
                     f"hidden widths, got {len(widths)}"
                 )
+        if any(width < 1 for width in widths):
+            raise ConfigError(f"hidden widths must be >= 1, got {widths}")
         dims = [num_features] + widths + [num_classes]
         self.layers = ModuleList(self._layer(dims[i], dims[i + 1], rng) for i in range(num_layers))
         self.dropout = Dropout(dropout, rng)

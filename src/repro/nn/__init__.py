@@ -9,7 +9,7 @@ from repro.nn.init import glorot_normal, glorot_uniform, he_uniform, zeros
 from repro.nn.layers import Dropout, GraphAttention, GraphConvolution, Linear
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedules import EarlyStopping, cosine_annealing_gamma, cosine_decay_lr, step_decay_lr
+from repro.nn.schedules import EarlyStopping, cosine_annealing_gamma
 
 __all__ = [
     "Module",
@@ -24,8 +24,6 @@ __all__ = [
     "Optimizer",
     "EarlyStopping",
     "cosine_annealing_gamma",
-    "cosine_decay_lr",
-    "step_decay_lr",
     "glorot_uniform",
     "glorot_normal",
     "he_uniform",

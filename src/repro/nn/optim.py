@@ -13,11 +13,21 @@ reassociation would change results, and none is performed).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.nn.module import Parameter
+
+
+def _check_rates(lr: float, weight_decay: float) -> None:
+    """Reject rates that would train without error but diverge or do
+    nothing (``lr=nan`` passes a plain ``lr <= 0`` check)."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
 
 
 class Optimizer:
@@ -63,8 +73,7 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
     ):
         super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        _check_rates(lr, weight_decay)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -108,8 +117,7 @@ class Adam(Optimizer):
         weight_decay: float = 0.0,
     ):
         super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        _check_rates(lr, weight_decay)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps

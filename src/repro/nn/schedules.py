@@ -29,27 +29,6 @@ def cosine_annealing_gamma(initial: float, epoch: int, total_epochs: int) -> flo
     return initial * (1.0 - math.cos(e * math.pi / total_epochs))
 
 
-def step_decay_lr(initial: float, epoch: int, step_size: int, factor: float = 0.5) -> float:
-    """Learning rate halved (by ``factor``) every ``step_size`` epochs."""
-    if step_size < 1:
-        raise ValueError(f"step_size must be >= 1, got {step_size}")
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"factor must be in (0, 1], got {factor}")
-    return initial * factor ** (max(epoch, 0) // step_size)
-
-
-def cosine_decay_lr(initial: float, epoch: int, total_epochs: int, floor: float = 0.0) -> float:
-    """Cosine-annealed learning rate from ``initial`` to ``floor``.
-
-    The optimizer-LR counterpart of Eq. 14 (which anneals γ *up*); used by
-    the Snapshot Ensemble baseline's restart cycles.
-    """
-    if total_epochs <= 0:
-        raise ValueError(f"total_epochs must be positive, got {total_epochs}")
-    e = min(max(epoch, 0), total_epochs)
-    return floor + (initial - floor) * 0.5 * (1.0 + math.cos(e * math.pi / total_epochs))
-
-
 class EarlyStopping:
     """Patience-based early stopping on a validation metric (higher = better).
 

@@ -40,7 +40,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.config import AGGREGATIONS
 from repro.errors import ConfigError
 from repro.models.gcn import GCN
 from repro.nn import init
@@ -61,6 +60,9 @@ __all__ = [
     "soft_median_weights",
     "trimmed_mean_weights",
 ]
+
+# Neighbor-aggregation variants: "gcn" is the paper's weighted mean.
+AGGREGATIONS = ("gcn", "soft_median", "trimmed_mean")
 
 
 def _weighted_dimwise_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -249,8 +251,7 @@ class RobustGCN(GCN):
 
     Everything but the layer type is :class:`~repro.models.gcn.GCN`'s
     (widths, dropout, forward), so it slots into
-    :class:`~repro.training.trainer.Trainer`, the bagging ensembles, and
-    — via ``RDDConfig.aggregation`` — the RDD student/teacher factory
+    :class:`~repro.training.trainer.Trainer` and the bagging ensembles
     unchanged.
     """
 

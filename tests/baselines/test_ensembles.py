@@ -1,9 +1,9 @@
-"""Tests for the Bagging, BANs, and Mean Teacher baselines."""
+"""Tests for the Bagging and BANs baselines."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import BaggingEnsemble, BANsEnsemble, MeanTeacher
+from repro.baselines import BaggingEnsemble, BANsEnsemble
 from repro.errors import ConfigError
 
 
@@ -73,31 +73,3 @@ class TestBANs:
             tiny_graph, seed=0
         )
         assert len(result.base_test_accuracies) == 2
-
-
-class TestMeanTeacher:
-    def test_returns_metrics(self, tiny_graph):
-        result = MeanTeacher(max_epochs=40, hidden=8).fit(tiny_graph, seed=0)
-        assert 0.0 <= result.test_accuracy <= 1.0
-        assert result.epochs_run <= 40
-
-    def test_learns_task(self, tiny_graph):
-        result = MeanTeacher(max_epochs=80, hidden=8).fit(tiny_graph, seed=0)
-        assert result.test_accuracy > 0.7
-
-    def test_ema_validation(self):
-        with pytest.raises(ConfigError):
-            MeanTeacher(ema_decay=1.0)
-
-    def test_ema_update_moves_teacher_toward_student(self, tiny_graph):
-        from repro.models import GCN
-        from repro.training import make_rng
-
-        method = MeanTeacher(ema_decay=0.5)
-        student = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=4)
-        teacher = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(1), hidden=4)
-        student_w = dict(student.named_parameters())["layers.0.weight"].data.copy()
-        teacher_w_before = dict(teacher.named_parameters())["layers.0.weight"].data.copy()
-        method._ema_update(student, teacher)
-        teacher_w_after = dict(teacher.named_parameters())["layers.0.weight"].data
-        np.testing.assert_allclose(teacher_w_after, 0.5 * teacher_w_before + 0.5 * student_w)

@@ -35,6 +35,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RDDConfig(beta=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_gamma_and_beta(self, value):
+        # NaN would otherwise train as the No-L2 / No-Lreg ablation.
+        with pytest.raises(ConfigError):
+            RDDConfig(gamma_initial=value)
+        with pytest.raises(ConfigError):
+            RDDConfig(beta=value)
+
     def test_bad_distill_mode(self):
         with pytest.raises(ConfigError):
             RDDConfig(distill_mode="nope")

@@ -6,11 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.features import (
-    corrupt_features,
-    generate_topic_features,
-    one_hot_identity_features,
-)
+from repro.datasets.features import generate_topic_features, one_hot_identity_features
 from repro.errors import DatasetError
 
 
@@ -87,26 +83,3 @@ class TestIdentityFeatures:
         features = one_hot_identity_features(4, num_extra=3)
         assert features.shape == (4, 7)
         assert features[:, 4:].nnz == 0
-
-
-class TestCorruptFeatures:
-    def test_zero_fraction_is_identity(self, rng):
-        features = np.arange(12, dtype=float).reshape(4, 3)
-        out = corrupt_features(features, 0.0, rng)
-        np.testing.assert_allclose(out, features)
-
-    def test_corrupted_rows_copied_from_donors(self, rng):
-        features = np.arange(40, dtype=float).reshape(10, 4)
-        out = corrupt_features(features, 0.5, rng)
-        original_rows = {tuple(row) for row in features}
-        for row in out:
-            assert tuple(row) in original_rows
-
-    def test_sparse_type_preserved(self, rng):
-        features = sp.csr_matrix(np.eye(6))
-        out = corrupt_features(features, 0.5, rng)
-        assert sp.issparse(out)
-
-    def test_invalid_fraction_raises(self, rng):
-        with pytest.raises(DatasetError):
-            corrupt_features(np.eye(3), 2.0, rng)

@@ -17,7 +17,7 @@ from repro.tensor.tensor import default_dtype, get_default_dtype
 
 ZOO = [
     "GCN", "ResGCN", "DenseGCN", "JKNet", "GAT", "APPNP", "MLP", "SGC",
-    "GraphSAGE", "NGCN", "DGCN", "LGCN", "GPNN", "ChebNet",
+    "GraphSAGE", "NGCN", "DGCN", "LGCN", "GPNN",
 ]
 
 

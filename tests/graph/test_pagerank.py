@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import GraphError
-from repro.graph import pagerank, personalized_propagation_matrix
+from repro.graph import pagerank
 from repro.graph.graph import build_adjacency
 
 
@@ -65,28 +65,3 @@ class TestPagerank:
     def test_empty_graph_raises(self):
         with pytest.raises(GraphError):
             pagerank(sp.csr_matrix((0, 0)))
-
-
-class TestPersonalizedPropagationMatrix:
-    def test_rows_approximately_stochastic(self):
-        adj = build_adjacency(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]))
-        ppr = personalized_propagation_matrix(adj, alpha=0.2, iterations=50)
-        # Â is similarity-normalized, not stochastic, so rows are close to
-        # but not exactly 1; they must be positive and bounded.
-        assert np.all(ppr >= -1e-12)
-        assert ppr.sum(axis=1).max() <= 1.5
-
-    def test_self_affinity_dominates_at_high_alpha(self):
-        adj = build_adjacency(5, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
-        ppr = personalized_propagation_matrix(adj, alpha=0.9, iterations=30)
-        assert np.all(np.argmax(ppr, axis=1) == np.arange(5))
-
-    def test_affinity_decays_with_distance(self):
-        adj = build_adjacency(6, np.array([[i, i + 1] for i in range(5)]))
-        ppr = personalized_propagation_matrix(adj, alpha=0.1, iterations=60)
-        assert ppr[0, 1] > ppr[0, 4]
-
-    def test_invalid_alpha_raises(self):
-        adj = build_adjacency(3, np.array([[0, 1], [1, 2]]))
-        with pytest.raises(GraphError):
-            personalized_propagation_matrix(adj, alpha=0.0)

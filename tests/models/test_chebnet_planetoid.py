@@ -1,63 +1,9 @@
-"""Tests for ChebNet and the Planetoid baseline."""
+"""Tests for the Planetoid baseline."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import Planetoid
 from repro.errors import ConfigError
-from repro.models import ChebConvolution, ChebNet, rescaled_laplacian
-from repro.training import Trainer, make_rng
-
-
-class TestRescaledLaplacian:
-    def test_shape_and_symmetry(self, tiny_graph):
-        lap = rescaled_laplacian(tiny_graph.adjacency).toarray()
-        assert lap.shape == (tiny_graph.num_nodes, tiny_graph.num_nodes)
-        np.testing.assert_allclose(lap, lap.T, atol=1e-12)
-
-    def test_eigenvalues_in_minus_one_one(self, tiny_graph):
-        lap = rescaled_laplacian(tiny_graph.adjacency).toarray()
-        eigenvalues = np.linalg.eigvalsh(lap)
-        assert eigenvalues.min() >= -1.0 - 1e-9
-        assert eigenvalues.max() <= 1.0 + 1e-9
-
-
-class TestChebConvolution:
-    def test_order_one_is_linear_map(self, rng):
-        import scipy.sparse as sp
-
-        layer = ChebConvolution(3, 2, order=1, rng=rng)
-        lap = sp.identity(4, format="csr")
-        x = rng.normal(size=(4, 3))
-        expected = x @ layer.weight_0.data + layer.bias.data
-        np.testing.assert_allclose(layer(lap, x).data, expected)
-
-    def test_parameter_count_scales_with_order(self, rng):
-        small = ChebConvolution(3, 2, order=1, rng=rng)
-        large = ChebConvolution(3, 2, order=3, rng=rng)
-        assert large.num_parameters() == small.num_parameters() + 2 * 6
-
-    def test_invalid_order(self, rng):
-        with pytest.raises(ConfigError):
-            ChebConvolution(3, 2, order=0, rng=rng)
-
-
-class TestChebNet:
-    def test_forward_shape(self, tiny_graph, rng):
-        model = ChebNet(tiny_graph.num_features, tiny_graph.num_classes, rng, hidden=8)
-        assert model(tiny_graph).shape == (tiny_graph.num_nodes, tiny_graph.num_classes)
-
-    def test_learns_two_block_task(self, tiny_graph):
-        model = ChebNet(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
-        result = Trainer(max_epochs=100, patience=40).fit(model, tiny_graph)
-        assert result.test_accuracy > 0.6
-
-    def test_laplacian_cached_per_graph(self, tiny_graph, rng):
-        model = ChebNet(tiny_graph.num_features, tiny_graph.num_classes, rng, hidden=8)
-        model(tiny_graph)
-        lap = model._laplacian
-        model(tiny_graph)
-        assert model._laplacian is lap
 
 
 class TestPlanetoid:

@@ -32,6 +32,20 @@ class TestShapes:
         with pytest.raises(ConfigError):
             GCN(4, 2, rng, num_layers=0)
 
+    @pytest.mark.parametrize("hidden", [0, -3, [8, 0]], ids=["0", "-3", "8,0"])
+    def test_hidden_width_below_one_raises(self, rng, hidden):
+        # A zero width would predict from the last bias alone.
+        with pytest.raises(ConfigError):
+            GCN(4, 2, rng, hidden=hidden, num_layers=3)
+
+    def test_subclasses_inherit_width_check(self, rng):
+        from repro.models import GraphSAGE
+        from repro.robustness.aggregation import RobustGCN
+
+        for cls in (GraphSAGE, RobustGCN):
+            with pytest.raises(ConfigError):
+                cls(4, 2, rng, hidden=0)
+
 
 class TestPredictionAPI:
     def test_predict_logits_is_deterministic_in_eval(self, tiny_graph, rng):

@@ -111,3 +111,32 @@ class TestAdam:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], lr=-0.1)
+
+
+BAD_RATES = [
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(lr=0.01, weight_decay=-1.0),
+    dict(lr=0.01, weight_decay=float("nan")),
+    dict(lr=0.01, weight_decay=float("inf")),
+]
+
+
+class TestRateValidation:
+    @pytest.mark.parametrize("optimizer", [SGD, Adam])
+    @pytest.mark.parametrize(
+        "rates", BAD_RATES, ids=lambda r: ",".join(f"{k}={v}" for k, v in r.items())
+    )
+    def test_rejects_non_finite_lr_and_bad_weight_decay(self, optimizer, rates):
+        # Each of these trained without error before: a negative decay
+        # grows the weights, a NaN rate quietly poisons them.
+        with pytest.raises(ValueError):
+            optimizer([Parameter(np.ones(1))], **rates)
+
+    def test_trainer_rejects_negative_weight_decay(self, tiny_graph):
+        from repro.models import GCN
+        from repro.training import Trainer, make_rng
+
+        model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=4)
+        with pytest.raises(ValueError):
+            Trainer(max_epochs=2, weight_decay=-1.0).fit(model, tiny_graph)

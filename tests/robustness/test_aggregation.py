@@ -1,4 +1,4 @@
-"""Robust aggregation: estimator properties, trainability, RDD wiring."""
+"""Robust aggregation: estimator properties and trainability."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.config import RDDConfig
-from repro.core.rdd import RDDTrainer
 from repro.errors import ConfigError
 from repro.graph.normalize import gcn_normalize
 from repro.models.gcn import GCN
@@ -165,32 +163,3 @@ class TestRobustGCN:
             assert robust_state[name].dtype == value.dtype
             assert np.array_equal(robust_state[name], value), name
         assert all(layer.aggregation == aggregation for layer in robust.layers)
-
-
-class TestRDDWiring:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            RDDConfig(aggregation="nope")
-        with pytest.raises(ConfigError):
-            RDDConfig(aggregation="soft_median", sampler="neighbor")
-        with pytest.raises(ConfigError):
-            RDDConfig(robust_trim=0.7)
-        with pytest.raises(ConfigError):
-            RDDConfig(robust_temperature=0.0)
-
-    def test_default_factory_builds_robust_model(self, graph):
-        trainer = RDDTrainer(RDDConfig(aggregation="trimmed_mean"))
-        model = trainer._default_factory(graph, make_rng(0))
-        assert isinstance(model, RobustGCN)
-        assert model.layers[0].aggregation == "trimmed_mean"
-
-    def test_rdd_fit_with_robust_students(self, graph):
-        config = RDDConfig(
-            num_base_models=2,
-            max_epochs=15,
-            patience=10,
-            aggregation="trimmed_mean",
-        )
-        result = RDDTrainer(config).fit(graph, seed=0)
-        assert result.ensemble_test_accuracy > 0.5
-        assert len(result.base_test_accuracies) == 2

@@ -113,21 +113,6 @@ class TestDefenseFloors:
         assert attacked["margin_vs_kd"] >= 0.0
 
 
-class TestHarnessConfigWiring:
-    def test_aggregation_default_keeps_fingerprint(self):
-        base = HarnessConfig().fingerprint()
-        assert "aggregation" not in base
-        assert HarnessConfig(aggregation="gcn").fingerprint() == base
-
-    def test_aggregation_changes_fingerprint(self):
-        fp = HarnessConfig(aggregation="soft_median").fingerprint()
-        assert fp["aggregation"] == "soft_median"
-
-    def test_rdd_config_carries_aggregation(self):
-        config = HarnessConfig(aggregation="trimmed_mean").rdd_config()
-        assert config.aggregation == "trimmed_mean"
-
-
 class TestAttackCLI:
     def test_parser_accepts_attack_args(self):
         args = build_parser().parse_args(

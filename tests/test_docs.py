@@ -1,5 +1,6 @@
 """Documentation integrity: the docs must reference real code and files."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -10,6 +11,10 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
+# Modules no CI step runs; every script keeps its work behind __main__.
+UNRUN_MODULES = sorted((REPO / "benchmarks").glob("bench_*.py")) + sorted(
+    (REPO / "scripts").glob("*.py")
+)
 
 
 class TestDocsExist:
@@ -48,6 +53,20 @@ class TestExamplesRun:
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+class TestBenchesAndScriptsImport:
+    @pytest.mark.parametrize(
+        "path", UNRUN_MODULES, ids=[path.relative_to(REPO).as_posix() for path in UNRUN_MODULES]
+    )
+    def test_module_imports(self, path, monkeypatch):
+        # A bench or script that imports a deleted name fails here.  The
+        # smoke scripts put src/ on sys.path themselves; undo that after.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(
+            f"_import_check_{path.parent.name}_{path.stem}", path
+        )
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 # Every doc a reader follows to find code, scripts or results.

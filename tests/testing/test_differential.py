@@ -35,7 +35,6 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 MODEL_ZOO = [
     "GCN",
     "SGC",
-    "ChebNet",
     "GraphSAGE",
     "NGCN",
     "DGCN",
@@ -55,7 +54,6 @@ MODEL_ZOO = [
 FUSED_TAPED_NODES = {
     "GCN": 5,
     "SGC": 2,
-    "ChebNet": 12,
     "GraphSAGE": 7,
     "NGCN": 10,
     "DGCN": 12,

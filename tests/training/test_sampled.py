@@ -264,16 +264,34 @@ class TestSampledRDD:
         assert first.base_test_accuracies == second.base_test_accuracies
         assert 0.0 <= first.ensemble_test_accuracy <= 1.0
 
-    def test_reliability_sampling_toggle_changes_trajectory(self, tiny_graph):
-        base = dict(
+    def test_distilled_students_weight_reliable_nodes_double(self, tiny_graph, monkeypatch):
+        # Every plan a distilled student receives weights reliable nodes
+        # 2 and the rest 1, both as neighbors and as seeds.
+        plans = []
+        original_fit = SampledTrainer.fit
+
+        def capturing_fit(self, model, graph, plan_fn=None, **kwargs):
+            if plan_fn is not None:
+                inner = plan_fn
+
+                def plan_fn(epoch):
+                    plans.append(inner(epoch))
+                    return plans[-1]
+
+            return original_fit(self, model, graph, plan_fn=plan_fn, **kwargs)
+
+        monkeypatch.setattr(SampledTrainer, "fit", capturing_fit)
+        config = RDDConfig(
             num_base_models=2, max_epochs=8, patience=50, hidden=16,
             sampler="neighbor", fanouts=(2, 2), batch_size=6,
         )
-        on = RDDTrainer(RDDConfig(reliability_sampling=True, **base)).fit(tiny_graph, seed=0)
-        off = RDDTrainer(RDDConfig(reliability_sampling=False, **base)).fit(tiny_graph, seed=0)
-        on_preds = on.base_results[1].predictions
-        off_preds = off.base_results[1].predictions
-        assert not np.array_equal(on_preds, off_preds)
+        RDDTrainer(config).fit(tiny_graph, seed=0)
+        masked = [plan for plan in plans if plan.reliable_mask is not None]
+        assert len(masked) == config.max_epochs
+        assert any(plan.reliable_mask.any() for plan in masked)
+        for plan in masked:
+            np.testing.assert_array_equal(plan.node_weights, 1.0 + plan.reliable_mask)
+            np.testing.assert_array_equal(plan.seed_weights, plan.node_weights[plan.seeds])
 
 
 class TestSeedSixCollapse:
