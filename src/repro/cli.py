@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ReproError
 from repro.evaluation import (
     HarnessConfig,
     ext_inductive,
@@ -332,14 +333,12 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
+def _serving_graph(args, artifact):
+    """The graph to serve ``artifact`` on: its embedded dataset spec, with
+    ``--dataset`` / ``--scale`` / ``--seed`` overriding the spec's values."""
     from repro.datasets import load_dataset
     from repro.errors import ConfigError
-    from repro.serving.artifacts import load_artifact
-    from repro.serving.engine import PredictionEngine
-    from repro.serving.server import PredictionServer
 
-    artifact = load_artifact(args.artifact)
     dataset = artifact.dataset or {}
     name = args.dataset or dataset.get("name")
     if name is None:
@@ -351,7 +350,16 @@ def _cmd_serve(args) -> int:
         kwargs["scale"] = args.scale
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    graph = load_dataset(name, dtype=dataset.get("dtype"), **kwargs)
+    return load_dataset(name, dtype=dataset.get("dtype"), **kwargs)
+
+
+def _cmd_serve(args) -> int:
+    from repro.serving.artifacts import load_artifact
+    from repro.serving.engine import PredictionEngine
+    from repro.serving.server import PredictionServer
+
+    artifact = load_artifact(args.artifact)
+    graph = _serving_graph(args, artifact)
 
     if args.replicas > 0:
         from repro.serving.frontend import ReplicaFrontend
@@ -395,25 +403,12 @@ def _cmd_deltas(args) -> int:
 
     import numpy as np
 
-    from repro.datasets import load_dataset
-    from repro.errors import ConfigError
     from repro.graph import DeltaLog
     from repro.serving.artifacts import load_artifact
     from repro.serving.engine import PredictionEngine
 
     artifact = load_artifact(args.artifact)
-    dataset = artifact.dataset or {}
-    name = args.dataset or dataset.get("name")
-    if name is None:
-        raise ConfigError(
-            "the artifact embeds no dataset spec; pass --dataset (and --scale/--seed)"
-        )
-    kwargs = dict(dataset.get("kwargs") or {})
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    graph = load_dataset(name, dtype=dataset.get("dtype"), **kwargs)
+    graph = _serving_graph(args, artifact)
 
     log = DeltaLog.load(args.log)
     engine = PredictionEngine(artifact, graph, streaming=True)
@@ -508,50 +503,31 @@ def _cmd_attack(args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.obs.metrics import prometheus_text
-    from repro.obs.report import ReportError, read_events, registry_from_events, render_report
+    from repro.obs.report import read_events, registry_from_events, render_report
 
-    try:
-        if args.format == "prometheus":
-            events = read_events(args.run_dir)
-            print(prometheus_text(registry_from_events(events).snapshot()), end="")
-            return 0
-        print(render_report(args.run_dir))
-    except ReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.format == "prometheus":
+        events = read_events(args.run_dir)
+        print(prometheus_text(registry_from_events(events).snapshot()), end="")
+        return 0
+    print(render_report(args.run_dir))
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _cmd_list(args) -> int:
+    for name, (_, description) in sorted(EXPERIMENTS.items()):
+        print(f"{name:8s} {description}")
+    return 0
 
-    if args.command == "list":
-        for name, (_, description) in sorted(EXPERIMENTS.items()):
-            print(f"{name:8s} {description}")
-        return 0
 
-    if args.command == "datasets":
-        from repro.datasets import available_datasets
+def _cmd_datasets(args) -> int:
+    from repro.datasets import available_datasets
 
-        for name in available_datasets():
-            print(name)
-        return 0
+    for name in available_datasets():
+        print(name)
+    return 0
 
-    if args.command == "export":
-        return _cmd_export(args)
 
-    if args.command == "serve":
-        return _cmd_serve(args)
-
-    if args.command == "deltas":
-        return _cmd_deltas(args)
-
-    if args.command == "attack":
-        return _cmd_attack(args)
-
-    if args.command == "report":
-        return _cmd_report(args)
-
+def _cmd_run(args) -> int:
     if args.obs_dir:
         # Enable before the harness runs so graph building, training, and
         # forked workers are all covered by one event log.
@@ -587,6 +563,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         save_report(report, args.out)
         print(f"\nreport written to {args.out}")
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand.  A library error (any :class:`ReproError`)
+    prints one ``error: ...`` line to stderr and returns 2."""
+    args = build_parser().parse_args(argv)
+    command = {
+        "list": _cmd_list,
+        "datasets": _cmd_datasets,
+        "run": _cmd_run,
+        "report": _cmd_report,
+        "export": _cmd_export,
+        "serve": _cmd_serve,
+        "deltas": _cmd_deltas,
+        "attack": _cmd_attack,
+    }[args.command]
+    try:
+        return command(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _parse_fanouts(spec: str) -> tuple:

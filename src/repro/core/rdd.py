@@ -20,7 +20,6 @@ under the strongest teacher).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import List, Optional
 
@@ -36,8 +35,6 @@ from repro.models.base import GraphModel, softmax_rows
 from repro.models.gcn import GCN
 from repro.nn.schedules import cosine_annealing_gamma
 from repro.tensor.functional import accuracy
-from repro.testing.faults import fault_point
-from repro.training.checkpoint import CheckpointStore
 from repro.training.records import EnsembleResult, TrainResult
 from repro.training.sampled import SampledTrainer, SamplingPlan
 from repro.training.seed import spawn_rngs
@@ -63,8 +60,9 @@ class RDDResult(EnsembleResult):
         super().__init__(*args, **kwargs)
         self.reliability_history = reliability_history or []
         self.reliability_time_s = reliability_time_s
-        # Unnormalized α_t per base model (Eq. 12) — part of the
-        # crash/resume bit-identity contract.
+        # Unnormalized α_t per base model (Eq. 12): `repro export`
+        # rebuilds the served teacher from them, and
+        # `results_bitwise_equal` compares them across a resumed seed cell.
         self.ensemble_weights = ensemble_weights
 
 
@@ -95,42 +93,11 @@ class RDDTrainer:
         )
 
     # ------------------------------------------------------------------
-    def _fingerprint(self, graph: Graph, seed: int) -> dict:
-        """Identity of one fit: config + seed + dataset + factory.
-
-        A checkpoint recorded under a different fingerprint is ignored
-        on resume, so runs never silently mix hyperparameters or data.
-        """
-        return {
-            "kind": "rdd-fit",
-            "seed": int(seed),
-            "config": dataclasses.asdict(self.config),
-            "factory": getattr(self._model_factory, "__qualname__", repr(self._model_factory)),
-            "graph": (
-                graph.name,
-                graph.num_nodes,
-                int(graph.num_edges),
-                graph.num_features,
-                graph.num_classes,
-            ),
-        }
-
-    def fit(
-        self,
-        graph: Graph,
-        seed: int = 0,
-        checkpoint: Optional[CheckpointStore] = None,
-        checkpoint_name: str = "rdd",
-    ) -> RDDResult:
+    def fit(self, graph: Graph, seed: int = 0) -> RDDResult:
         """Run the full self-boosting loop; returns ensemble + per-model metrics.
 
-        With a ``checkpoint`` store, the full teacher state (per-student
-        probs/logits/α-weights), accumulated results, and loop position
-        are persisted after every completed student; a re-run with the
-        same config/seed/graph resumes at the first unfinished student
-        and produces a bit-identical :class:`RDDResult` (each student
-        consumes its own spawned RNG, so later students never depend on
-        the position of earlier students' streams).
+        Each student consumes its own spawned RNG, so later students
+        never depend on the position of earlier students' streams.
         """
         config = self.config
         start = time.perf_counter()
@@ -144,8 +111,7 @@ class RDDTrainer:
         )
         if config.sampler == "neighbor":
             # Memory-bounded path: every student trains on fanout-sampled
-            # blocks (the sampling streams derive from the run seed, so
-            # resumes stay bit-identical).
+            # blocks (the sampling streams derive from the run seed).
             trainer: Trainer = SampledTrainer(
                 fanouts=config.fanouts,
                 batch_size=config.batch_size,
@@ -163,22 +129,8 @@ class RDDTrainer:
         ensemble_curve: List[float] = []
         reliability_history: List[dict] = []
         self._reliability_time = 0.0
-        first_student = 0
 
-        fingerprint = self._fingerprint(graph, seed) if checkpoint is not None else None
-        if checkpoint is not None:
-            saved = checkpoint.load(checkpoint_name, fingerprint=fingerprint)
-            if saved is not None:
-                teacher = EnsembleModel.from_state(saved["teacher"])
-                base_results = saved["base_results"]
-                base_test = saved["base_test"]
-                ensemble_curve = saved["ensemble_curve"]
-                reliability_history = saved["reliability_history"]
-                self._reliability_time = saved["reliability_time_s"]
-                first_student = saved["completed"]
-
-        for t in range(first_student, config.num_base_models):
-            fault_point("rdd:student", key=t)
+        for t in range(config.num_base_models):
             model = self._model_factory(graph, rngs[t])
             with obs.span("rdd:student", student=t + 1, seed=seed) as student_span:
                 if t == 0:
@@ -210,21 +162,6 @@ class RDDTrainer:
                     test_accuracy=base_test[-1],
                     ensemble_test_accuracy=ensemble_curve[-1],
                     ensemble_weight=float(weight),
-                )
-
-            if checkpoint is not None:
-                checkpoint.save(
-                    checkpoint_name,
-                    {
-                        "completed": t + 1,
-                        "teacher": teacher.state(),
-                        "base_results": base_results,
-                        "base_test": base_test,
-                        "ensemble_curve": ensemble_curve,
-                        "reliability_history": reliability_history,
-                        "reliability_time_s": self._reliability_time,
-                    },
-                    fingerprint=fingerprint,
                 )
 
         ensemble_probs = teacher.probs()

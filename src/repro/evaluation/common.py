@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 import repro.obs as obs
 from repro.baselines.bagging import BaggingEnsemble
@@ -22,8 +23,19 @@ from repro.baselines.bans import BANsEnsemble
 from repro.core.config import RDDConfig
 from repro.core.rdd import RDDTrainer
 from repro.datasets.registry import load_dataset
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, graph_fingerprint
+from repro.models.appnp import APPNP
+from repro.models.base import GraphModel
+from repro.models.densegcn import DenseGCN
+from repro.models.dgcn import DGCN
+from repro.models.gat import GAT
 from repro.models.gcn import GCN
+from repro.models.gpnn import GPNN
+from repro.models.jknet import JKNet
+from repro.models.lgcn import LGCN
+from repro.models.mlp import MLP
+from repro.models.ngcn import NGCN
+from repro.models.resgcn import ResGCN
 from repro.tensor.tensor import default_dtype
 from repro.testing.faults import fault_point
 from repro.training.checkpoint import CheckpointStore
@@ -227,6 +239,39 @@ def run_single_gcn(graph: Graph, config: HarnessConfig, seed: int, num_layers: i
     return config.trainer().fit(model, graph)
 
 
+# The model-zoo rows (Table 4's GNNs and the deep variants of Table 5 and
+# Figure 6): name -> (class, whether it takes the harness's hidden width;
+# the others keep their own default widths).
+ZOO = {
+    "GAT": (GAT, False),
+    "APPNP": (APPNP, False),
+    "NGCN": (NGCN, True),
+    "DGCN": (DGCN, True),
+    "LGCN": (LGCN, True),
+    "GPNN": (GPNN, True),
+    "MLP": (MLP, False),
+    "ResGCN": (ResGCN, True),
+    "DenseGCN": (DenseGCN, False),
+    "JK-Net": (JKNet, False),
+}
+
+
+def zoo_model(name: str, graph: Graph, config: HarnessConfig, rng, **options) -> GraphModel:
+    """Build the zoo model ``name`` for ``graph`` under this budget."""
+    model_class, sized = ZOO[name]
+    if sized:
+        options["hidden"] = config.hidden
+    return model_class(
+        graph.num_features, graph.num_classes, rng, dropout=config.dropout, **options
+    )
+
+
+def run_zoo_model(graph: Graph, config: HarnessConfig, seed: int, model: str, **options) -> TrainResult:
+    """Train one zoo model with the full-batch trainer; ``options`` (e.g.
+    ``num_layers``) go to its constructor."""
+    return config.trainer().fit(zoo_model(model, graph, config, make_rng(seed), **options), graph)
+
+
 def run_bagging(graph: Graph, config: HarnessConfig, seed: int) -> EnsembleResult:
     """Train the Bagging ensemble baseline."""
     method = BaggingEnsemble(
@@ -282,38 +327,44 @@ def _run_seed_task(task):
             return runner(graph, config, seed, **kwargs)
 
 
-def _graph_fingerprint(graph: Graph) -> tuple:
-    return (
-        graph.name,
-        graph.num_nodes,
-        int(graph.num_edges),
-        graph.num_features,
-        graph.num_classes,
-    )
+def _graph_identity(graph: Graph) -> dict:
+    """A seed cell's graph key: :func:`graph_fingerprint` (counts and the
+    CSR structure digest) plus a SHA-256 over the features, labels and
+    split, so graphs with equal counts never share a checkpoint."""
+    features = graph.features
+    arrays = [features.data, features.indices, features.indptr] if sp.issparse(features) else [features]
+    digest = hashlib.sha256()
+    for array in arrays + [graph.labels, graph.train_index, graph.val_index, graph.test_index]:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return {**graph_fingerprint(graph), "content_sha256": digest.hexdigest()}
 
 
 def run_over_seeds(
     runner: Callable[..., object],
     graphs: Sequence[Graph],
     config: HarnessConfig,
-    checkpoint_name: Optional[str] = None,
     **kwargs,
 ) -> List[object]:
     """Run ``runner(graph, config, seed, **kwargs)`` for each seed's graph.
 
-    This is the shared harness seed loop: results come back in seed order
-    and ``config.workers`` controls process parallelism (1 = serial,
-    identical to a plain list comprehension over the seeds).  The
-    configured compute dtype is installed around each run.  Graphs are
-    handed to workers via fork inheritance, not pickled per task.
+    This is the harness seed loop, and every harness fit runs through
+    it: results come back in seed order and ``config.workers`` controls
+    process parallelism (1 = serial, identical to a plain list
+    comprehension over the seeds).  The configured compute dtype is
+    installed around each run.  Graphs are handed to workers via fork
+    inheritance, not pickled per task, so a runner must be a
+    module-level function with picklable keyword arguments.
 
     With ``config.checkpoint_dir`` set, each completed seed cell is
     persisted the moment it finishes (atomic + checksummed), and a
     re-run after a crash executes only the missing cells — cells derive
     independent RNG streams, so the resumed result list is bit-identical
-    to an uninterrupted run.  The checkpoint name encodes runner, budget
-    fingerprint, and dataset identity, so distinct loops inside one
-    harness (or different configs) never collide.
+    to an uninterrupted run.  The checkpoint name hashes the runner, its
+    keyword arguments, the budget fingerprint and each graph's content,
+    so distinct loops inside one harness (or different configs, noise
+    levels, attacks or splits) never collide.
     """
     if config.obs_dir is not None:
         obs.enable(config.obs_dir)
@@ -332,18 +383,17 @@ def run_over_seeds(
             "runner": getattr(runner, "__name__", repr(runner)),
             "kwargs": repr(sorted(kwargs.items())),
             "config": config.fingerprint(),
-            "graphs": [_graph_fingerprint(graph) for graph in graphs],
+            "graphs": [_graph_identity(graph) for graph in graphs],
         }
-        if checkpoint_name is None:
-            digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:12]
-            checkpoint_name = f"seeds-{fingerprint['runner']}-{digest}"
-        saved = (store.load(checkpoint_name, fingerprint=fingerprint) or {}) if config.resume else {}
+        digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:12]
+        name = f"seeds-{fingerprint['runner']}-{digest}"
+        saved = (store.load(name, fingerprint=fingerprint) or {}) if config.resume else {}
         done = {int(index): result for index, result in saved.items()}
         known = dict(done)
 
         def on_result(index, result):
             known[index] = result
-            store.save(checkpoint_name, known, fingerprint=fingerprint)
+            store.save(name, known, fingerprint=fingerprint)
 
     return parallel_map(
         _run_seed_task,
@@ -371,11 +421,14 @@ def std_over_seeds(values: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
-def load_graphs(config: HarnessConfig, dataset: str) -> List[Graph]:
-    """One graph instance per seed (structure varies with the seed, as the
-    synthetic stand-ins re-sample the graph; this subsumes the paper's
-    repeated-runs protocol)."""
+def load_graphs(config: HarnessConfig, dataset: str, **generator_kwargs) -> List[Graph]:
+    """One graph instance per seed, in the configured dtype (structure
+    varies with the seed, as the synthetic stand-ins re-sample the graph;
+    this subsumes the paper's repeated-runs protocol).  Generator options
+    such as ``feature_noise`` pass through to :func:`load_dataset`."""
     return [
-        load_dataset(dataset, seed=seed, scale=config.scale, dtype=config.dtype)
+        load_dataset(
+            dataset, seed=seed, scale=config.scale, dtype=config.dtype, **generator_kwargs
+        )
         for seed in config.seeds
     ]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.datasets.citation import cora_like
 from repro.evaluation.common import (
     ExperimentReport,
     HarnessConfig,
+    load_graphs,
     mean_over_seeds,
     run_bans,
     run_over_seeds,
@@ -37,10 +37,7 @@ def run(
         ),
     )
     for noise in noise_levels:
-        graphs = [
-            cora_like(seed=seed, scale=config.scale, feature_noise=noise)
-            for seed in config.seeds
-        ]
+        graphs = load_graphs(config, "cora", feature_noise=noise)
         gcn = mean_over_seeds(
             [r.test_accuracy for r in run_over_seeds(run_single_gcn, graphs, config)]
         )

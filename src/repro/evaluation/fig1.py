@@ -12,9 +12,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.datasets.registry import load_dataset
 from repro.datasets.splits import resample_train_index
-from repro.evaluation.common import ExperimentReport, HarnessConfig, mean_over_seeds, run_single_gcn
+from repro.evaluation.common import (
+    ExperimentReport,
+    HarnessConfig,
+    load_graphs,
+    mean_over_seeds,
+    run_over_seeds,
+    run_single_gcn,
+)
 
 # Label rates of the paper's Figure 1 x-axis (percent) and the approximate
 # accuracy curve read off the figure, for EXPERIMENTS.md comparison.
@@ -29,16 +35,15 @@ def run(config: Optional[HarnessConfig] = None, label_rates: Sequence[float] = P
         experiment="Figure 1: GCN accuracy vs label rate (cora)",
         notes="Reproduction target: accuracy decays monotonically as labels shrink.",
     )
-    graphs = [load_dataset("cora", seed=seed, scale=config.scale) for seed in config.seeds]
+    graphs = load_graphs(config, "cora")
     for rate in label_rates:
-        accs = []
+        swept = []
         for graph, seed in zip(graphs, config.seeds):
             per_class = max(1, int(round(rate / 100.0 * graph.num_nodes / graph.num_classes)))
             rng = np.random.default_rng(seed + 10_000)
             forbidden = np.concatenate([graph.val_index, graph.test_index])
-            train_index = resample_train_index(graph.labels, rng, per_class, forbidden)
-            swept = graph.with_split(train_index)
-            accs.append(run_single_gcn(swept, config, seed).test_accuracy)
+            swept.append(graph.with_split(resample_train_index(graph.labels, rng, per_class, forbidden)))
+        accs = [r.test_accuracy for r in run_over_seeds(run_single_gcn, swept, config)]
         report.rows.append(
             {
                 "label_rate_pct": rate,

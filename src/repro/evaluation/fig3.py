@@ -17,15 +17,47 @@ markedly more accurate than KD's, at a fraction of the volume.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.ensemble import EnsembleModel, ensemble_weight
 from repro.core.reliability import node_reliability
-from repro.datasets.registry import load_dataset
-from repro.evaluation.common import ExperimentReport, HarnessConfig, mean_over_seeds
+from repro.evaluation.common import (
+    ExperimentReport,
+    HarnessConfig,
+    load_graphs,
+    mean_over_seeds,
+    run_over_seeds,
+)
+from repro.graph.graph import Graph
 from repro.models.base import softmax_rows
 from repro.models.gcn import GCN
 from repro.training.seed import make_rng
+
+
+def run_purity(graph: Graph, config: HarnessConfig, seed: int) -> Tuple[float, float, float]:
+    """One seed's (KD purity, RDD purity, RDD's distilled fraction of nodes)."""
+    trainer = config.trainer()
+    pagerank = graph.pagerank()
+
+    teacher_ensemble = EnsembleModel()
+    for t in range(2):
+        model = GCN(graph.num_features, graph.num_classes, make_rng(seed + t), hidden=config.hidden)
+        trainer.fit(model, graph)
+        logits = model.predict_logits(graph)
+        probs = softmax_rows(logits)
+        teacher_ensemble.add(probs, logits, ensemble_weight(probs, pagerank))
+    teacher_probs = teacher_ensemble.probs()
+
+    student = GCN(graph.num_features, graph.num_classes, make_rng(seed + 99), hidden=config.hidden)
+    trainer.fit(student, graph)
+    student_probs = softmax_rows(student.predict_logits(graph))
+
+    correct = teacher_probs.argmax(axis=1) == graph.labels
+    sets = node_reliability(teacher_probs, student_probs, graph.labels, graph.train_index, p=40.0)
+    vb = sets.distill_index
+    rdd_purity = float(correct[vb].mean()) if len(vb) else float("nan")
+    # KD distills every node's teacher output.
+    return float(correct.mean()), rdd_purity, len(vb) / graph.num_nodes
 
 
 def run(config: Optional[HarnessConfig] = None, dataset: str = "cora") -> ExperimentReport:
@@ -39,33 +71,9 @@ def run(config: Optional[HarnessConfig] = None, dataset: str = "cora") -> Experi
             "labels that are actually correct (oracle)."
         ),
     )
-    kd_purity, rdd_purity, volumes = [], [], []
-    trainer = config.trainer()
-    for seed in config.seeds:
-        graph = load_dataset(dataset, seed=seed, scale=config.scale)
-        pagerank = graph.pagerank()
-
-        teacher_ensemble = EnsembleModel()
-        for t in range(2):
-            model = GCN(graph.num_features, graph.num_classes, make_rng(seed + t), hidden=config.hidden)
-            trainer.fit(model, graph)
-            logits = model.predict_logits(graph)
-            probs = softmax_rows(logits)
-            teacher_ensemble.add(probs, logits, ensemble_weight(probs, pagerank))
-        teacher_probs = teacher_ensemble.probs()
-
-        student = GCN(graph.num_features, graph.num_classes, make_rng(seed + 99), hidden=config.hidden)
-        trainer.fit(student, graph)
-        student_probs = softmax_rows(student.predict_logits(graph))
-
-        correct = teacher_probs.argmax(axis=1) == graph.labels
-        kd_purity.append(float(correct.mean()))  # KD: all nodes
-
-        sets = node_reliability(teacher_probs, student_probs, graph.labels, graph.train_index, p=40.0)
-        vb = sets.distill_index
-        rdd_purity.append(float(correct[vb].mean()) if len(vb) else float("nan"))
-        volumes.append(len(vb) / graph.num_nodes)
-
+    kd_purity, rdd_purity, volumes = zip(
+        *run_over_seeds(run_purity, load_graphs(config, dataset), config)
+    )
     report.rows.append(
         {
             "selection": "KD (all teacher outputs)",

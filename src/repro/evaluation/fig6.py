@@ -15,30 +15,29 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.datasets.registry import load_dataset
 from repro.datasets.splits import max_train_per_class, resample_train_index
 from repro.evaluation.common import (
     ExperimentReport,
     HarnessConfig,
+    load_graphs,
     mean_over_seeds,
     run_bagging,
     run_bans,
+    run_over_seeds,
     run_rdd,
     run_single_gcn,
+    run_zoo_model,
 )
-from repro.models.densegcn import DenseGCN
-from repro.models.jknet import JKNet
-from repro.models.resgcn import ResGCN
-from repro.training.seed import make_rng
 
 # The paper sweeps {5, 10, 15, 20, 35, 50, 65, 77} on full-scale Cora.
 PAPER_SWEEP = (5, 10, 15, 20, 35, 50, 65, 77)
 
 
-def _sweep_points(graph, requested: Sequence[int]) -> Sequence[int]:
-    """Clip the sweep to what the (possibly scaled) graph can supply."""
-    forbidden = np.concatenate([graph.val_index, graph.test_index])
-    cap = max_train_per_class(graph.labels, forbidden)
+def _sweep_points(graphs, requested: Sequence[int]) -> Sequence[int]:
+    """Clip the sweep to what every seed's (possibly scaled) graph can supply."""
+    cap = min(
+        max_train_per_class(g.labels, np.concatenate([g.val_index, g.test_index])) for g in graphs
+    )
     points = sorted({min(p, cap) for p in requested})
     return [p for p in points if p >= 1]
 
@@ -62,44 +61,28 @@ def run(
             "(b) RDD(Ensemble) above Bagging/BANs, margin narrowing with more labels."
         ),
     )
-    graphs = [load_dataset(dataset, seed=seed, scale=config.scale) for seed in config.seeds]
-    points = _sweep_points(graphs[0], sweep)
-    trainer = config.trainer()
+    graphs = load_graphs(config, dataset)
+    points = _sweep_points(graphs, sweep)
 
     for per_class in points:
-        row = {"labels_per_class": per_class}
-        accumulators = {key: [] for key in (
-            "GCN", "ResGCN", "DenseGCN", "JK-Net", "RDD(Single)",
-            "Bagging", "BANs", "RDD(Ensemble)",
-        )}
+        swept = []
         for graph, seed in zip(graphs, config.seeds):
             rng = np.random.default_rng(seed + 20_000 + per_class)
             forbidden = np.concatenate([graph.val_index, graph.test_index])
-            train_index = resample_train_index(graph.labels, rng, per_class, forbidden)
-            swept = graph.with_split(train_index)
+            swept.append(graph.with_split(resample_train_index(graph.labels, rng, per_class, forbidden)))
 
-            accumulators["GCN"].append(run_single_gcn(swept, config, seed).test_accuracy)
-            if include_deep:
-                resgcn = ResGCN(swept.num_features, swept.num_classes, make_rng(seed),
-                                hidden=config.hidden, num_layers=3, dropout=config.dropout)
-                accumulators["ResGCN"].append(trainer.fit(resgcn, swept).test_accuracy)
-                densegcn = DenseGCN(swept.num_features, swept.num_classes, make_rng(seed),
-                                    num_layers=3, dropout=config.dropout)
-                accumulators["DenseGCN"].append(trainer.fit(densegcn, swept).test_accuracy)
-                jknet = JKNet(swept.num_features, swept.num_classes, make_rng(seed),
-                              num_layers=3, dropout=config.dropout)
-                accumulators["JK-Net"].append(trainer.fit(jknet, swept).test_accuracy)
-
-            bagging = run_bagging(swept, config, seed)
-            bans = run_bans(swept, config, seed)
-            rdd = run_rdd(swept, config, seed)
-            accumulators["Bagging"].append(bagging.ensemble_test_accuracy)
-            accumulators["BANs"].append(bans.ensemble_test_accuracy)
-            accumulators["RDD(Single)"].append(rdd.last_base_test_accuracy)
-            accumulators["RDD(Ensemble)"].append(rdd.ensemble_test_accuracy)
-
-        for key, values in accumulators.items():
-            if values:
-                row[key] = mean_over_seeds(values)
+        gcn = run_over_seeds(run_single_gcn, swept, config)
+        row = {"labels_per_class": per_class, "GCN": mean_over_seeds([r.test_accuracy for r in gcn])}
+        if include_deep:
+            for name in ("ResGCN", "DenseGCN", "JK-Net"):
+                deep = run_over_seeds(run_zoo_model, swept, config, model=name, num_layers=3)
+                row[name] = mean_over_seeds([r.test_accuracy for r in deep])
+        bagging = run_over_seeds(run_bagging, swept, config)
+        bans = run_over_seeds(run_bans, swept, config)
+        rdd = run_over_seeds(run_rdd, swept, config)
+        row["RDD(Single)"] = mean_over_seeds([r.last_base_test_accuracy for r in rdd])
+        row["Bagging"] = mean_over_seeds([r.ensemble_test_accuracy for r in bagging])
+        row["BANs"] = mean_over_seeds([r.ensemble_test_accuracy for r in bans])
+        row["RDD(Ensemble)"] = mean_over_seeds([r.ensemble_test_accuracy for r in rdd])
         report.rows.append(row)
     return report

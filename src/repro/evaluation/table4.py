@@ -21,16 +21,11 @@ from repro.evaluation.common import (
     run_over_seeds,
     run_rdd,
     run_single_gcn,
+    run_zoo_model,
 )
-from repro.models.appnp import APPNP
-from repro.models.dgcn import DGCN
-from repro.models.gat import GAT
-from repro.models.gpnn import GPNN
-from repro.models.lgcn import LGCN
-from repro.models.mlp import MLP
-from repro.models.ngcn import NGCN
+from repro.graph.graph import Graph
 from repro.tensor.functional import accuracy
-from repro.training.seed import make_rng
+from repro.training.records import TrainResult
 
 PAPER_TABLE4 = {
     "cora": {"LP": 68.0, "Planetoid": 75.7, "LGCN": 83.3, "GPNN": 81.8, "NGCN": 83.0,
@@ -42,6 +37,21 @@ PAPER_TABLE4 = {
 }
 
 DEFAULT_DATASETS = ("cora", "citeseer", "pubmed")
+
+# Report row -> zoo model (see repro.evaluation.common.ZOO); the MLP is an
+# extra reference, not a paper row.
+ZOO_ROWS = {name: name for name in ("GAT", "APPNP", "NGCN", "DGCN", "LGCN", "GPNN")}
+ZOO_ROWS["MLP (extra)"] = "MLP"
+
+
+def run_label_propagation(graph: Graph, config: HarnessConfig, seed: int) -> float:
+    """Label propagation's test accuracy (nothing to train)."""
+    return accuracy(LabelPropagation().predict(graph), graph.labels, graph.test_index)
+
+
+def run_planetoid(graph: Graph, config: HarnessConfig, seed: int) -> TrainResult:
+    """Train the Planetoid rebuild."""
+    return Planetoid(epochs=min(config.max_epochs, 100)).fit(graph, seed=seed)
 
 
 def run(config: Optional[HarnessConfig] = None, datasets: Sequence[str] = DEFAULT_DATASETS) -> ExperimentReport:
@@ -56,40 +66,21 @@ def run(config: Optional[HarnessConfig] = None, datasets: Sequence[str] = DEFAUL
     )
     for dataset in datasets:
         graphs = load_graphs(config, dataset)
-        trainer = config.trainer()
-
-        model_factories = {
-            "GAT": lambda g, s: GAT(g.num_features, g.num_classes, make_rng(s), dropout=config.dropout),
-            "APPNP": lambda g, s: APPNP(g.num_features, g.num_classes, make_rng(s), dropout=config.dropout),
-            "NGCN": lambda g, s: NGCN(g.num_features, g.num_classes, make_rng(s),
-                                      hidden=config.hidden, dropout=config.dropout),
-            "DGCN": lambda g, s: DGCN(g.num_features, g.num_classes, make_rng(s),
-                                      hidden=config.hidden, dropout=config.dropout),
-            "LGCN": lambda g, s: LGCN(g.num_features, g.num_classes, make_rng(s),
-                                      hidden=config.hidden, dropout=config.dropout),
-            "GPNN": lambda g, s: GPNN(g.num_features, g.num_classes, make_rng(s),
-                                      hidden=config.hidden, dropout=config.dropout),
-            "MLP (extra)": lambda g, s: MLP(g.num_features, g.num_classes, make_rng(s), dropout=config.dropout),
+        measured = {
+            "LP": mean_over_seeds(run_over_seeds(run_label_propagation, graphs, config)),
+            "Planetoid": mean_over_seeds(
+                [r.test_accuracy for r in run_over_seeds(run_planetoid, graphs, config)]
+            ),
         }
-
-        lp_accs, planetoid_accs = [], []
-        model_accs = {name: [] for name in model_factories}
-        for graph, seed in zip(graphs, config.seeds):
-            lp = LabelPropagation()
-            lp_accs.append(accuracy(lp.predict(graph), graph.labels, graph.test_index))
-            planetoid = Planetoid(epochs=min(config.max_epochs, 100))
-            planetoid_accs.append(planetoid.fit(graph, seed=seed).test_accuracy)
-            for name, factory in model_factories.items():
-                model_accs[name].append(trainer.fit(factory(graph, seed), graph).test_accuracy)
-        gcn_accs = [r.test_accuracy for r in run_over_seeds(run_single_gcn, graphs, config)]
-        rdd_accs = [
-            r.last_base_test_accuracy for r in run_over_seeds(run_rdd, graphs, config)
-        ]
-
-        measured = {"LP": mean_over_seeds(lp_accs), "Planetoid": mean_over_seeds(planetoid_accs)}
-        measured.update({name: mean_over_seeds(accs) for name, accs in model_accs.items()})
-        measured["GCN"] = mean_over_seeds(gcn_accs)
-        measured["RDD(Single)"] = mean_over_seeds(rdd_accs)
+        for row, model in ZOO_ROWS.items():
+            results = run_over_seeds(run_zoo_model, graphs, config, model=model)
+            measured[row] = mean_over_seeds([r.test_accuracy for r in results])
+        measured["GCN"] = mean_over_seeds(
+            [r.test_accuracy for r in run_over_seeds(run_single_gcn, graphs, config)]
+        )
+        measured["RDD(Single)"] = mean_over_seeds(
+            [r.last_base_test_accuracy for r in run_over_seeds(run_rdd, graphs, config)]
+        )
         for method, acc in measured.items():
             paper = PAPER_TABLE4[dataset].get(method.replace(" (extra)", ""), float("nan"))
             report.rows.append(

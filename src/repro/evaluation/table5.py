@@ -7,9 +7,7 @@ deep model's layer count is tuned on the validation set, as in the paper.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.evaluation.common import (
     ExperimentReport,
@@ -19,12 +17,11 @@ from repro.evaluation.common import (
     run_over_seeds,
     run_rdd,
     run_single_gcn,
+    zoo_model,
 )
 from repro.graph.graph import Graph
-from repro.models.densegcn import DenseGCN
-from repro.models.jknet import JKNet
-from repro.models.resgcn import ResGCN
 from repro.training.records import TrainResult
+from repro.training.tuning import grid_search
 
 PAPER_TABLE5 = {
     "cora": {"GCN": 81.8, "JK-Net": 81.8, "ResGCN": 82.2, "DenseGCN": 82.1, "RDD(Single)": 84.8},
@@ -35,21 +32,16 @@ PAPER_TABLE5 = {
 
 DEFAULT_DATASETS = ("cora", "citeseer")
 DEFAULT_DEPTHS = (2, 3, 4)
+DEEP_MODELS = ("JK-Net", "ResGCN", "DenseGCN")
 
 
-def _fit_best_depth(
-    factory: Callable[[Graph, int, np.random.Generator], object],
-    graph: Graph,
-    config: HarnessConfig,
-    seed: int,
-    depths: Sequence[int],
+def run_best_depth(
+    graph: Graph, config: HarnessConfig, seed: int, model: str, depths: Sequence[int]
 ) -> TrainResult:
-    """Validation-tune the layer count, as the paper does ("we use the
-    validation data to tune how many layers each method should use")."""
-    from repro.training.tuning import grid_search
-
+    """Validation-tune ``model``'s layer count, as the paper does ("we use
+    the validation data to tune how many layers each method should use")."""
     outcome = grid_search(
-        lambda g, rng, depth: factory(g, depth, rng),
+        lambda g, rng, depth: zoo_model(model, g, config, rng, num_layers=depth),
         {"depth": list(depths)},
         graph,
         trainer=config.trainer(),
@@ -69,21 +61,6 @@ def run(
         experiment="Table 5: deep GCN comparison",
         notes="Shape target: deep variants ~= GCN; RDD(Single) beats them all.",
     )
-
-    def jknet(graph, depth, rng):
-        return JKNet(graph.num_features, graph.num_classes, rng, num_layers=depth, dropout=config.dropout)
-
-    def resgcn(graph, depth, rng):
-        return ResGCN(
-            graph.num_features, graph.num_classes, rng,
-            hidden=config.hidden, num_layers=depth, dropout=config.dropout,
-        )
-
-    def densegcn(graph, depth, rng):
-        return DenseGCN(graph.num_features, graph.num_classes, rng, num_layers=depth, dropout=config.dropout)
-
-    factories = {"JK-Net": jknet, "ResGCN": resgcn, "DenseGCN": densegcn}
-
     for dataset in datasets:
         graphs = load_graphs(config, dataset)
         measured = {
@@ -91,12 +68,11 @@ def run(
                 [r.test_accuracy for r in run_over_seeds(run_single_gcn, graphs, config)]
             )
         }
-        for name, factory in factories.items():
-            accs = [
-                _fit_best_depth(factory, g, config, s, depths).test_accuracy
-                for g, s in zip(graphs, config.seeds)
-            ]
-            measured[name] = mean_over_seeds(accs)
+        for name in DEEP_MODELS:
+            results = run_over_seeds(
+                run_best_depth, graphs, config, model=name, depths=tuple(depths)
+            )
+            measured[name] = mean_over_seeds([r.test_accuracy for r in results])
         measured["RDD(Single)"] = mean_over_seeds(
             [r.last_base_test_accuracy for r in run_over_seeds(run_rdd, graphs, config)]
         )

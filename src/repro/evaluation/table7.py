@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.evaluation.common import ExperimentReport, HarnessConfig, load_graphs, mean_over_seeds, run_rdd
+from repro.evaluation.common import (
+    ExperimentReport,
+    HarnessConfig,
+    load_graphs,
+    mean_over_seeds,
+    run_over_seeds,
+    run_rdd,
+)
 
 PAPER_TABLE7 = {
     # (p, gamma, beta) -> accuracy
@@ -50,10 +57,10 @@ def run(
     for p in p_values:
         for gamma in gamma_values:
             for beta in beta_values:
-                accs = [
-                    run_rdd(g, config, s, p=p, gamma_initial=gamma, beta=beta).ensemble_test_accuracy
-                    for g, s in zip(graphs, config.seeds)
-                ]
+                results = run_over_seeds(
+                    run_rdd, graphs, config, p=p, gamma_initial=gamma, beta=beta
+                )
+                accs = [r.ensemble_test_accuracy for r in results]
                 paper_beta = _PAPER_BETA_FOR.get(beta, int(beta))
                 report.rows.append(
                     {

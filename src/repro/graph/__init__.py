@@ -1,6 +1,6 @@
 """Graph substrate: containers, normalizations, PageRank, stats, walks."""
 
-from repro.graph.graph import Graph, build_adjacency
+from repro.graph.graph import Graph, build_adjacency, graph_fingerprint
 from repro.graph.delta import DeltaLog, GraphDelta, apply_delta, k_hop_rows
 from repro.graph.normalize import (
     add_self_loops,
@@ -16,6 +16,7 @@ from repro.graph.walks import batch_random_walks
 __all__ = [
     "Graph",
     "build_adjacency",
+    "graph_fingerprint",
     "GraphDelta",
     "DeltaLog",
     "apply_delta",

@@ -9,6 +9,7 @@ list, and PageRank scores.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -249,6 +250,27 @@ class Graph:
             f"features={self.num_features}, classes={self.num_classes}, "
             f"split={len(self.train_index)}/{len(self.val_index)}/{len(self.test_index)})"
         )
+
+
+def graph_fingerprint(graph: Graph) -> dict:
+    """Structural identity of a graph: counts plus an adjacency digest.
+
+    The digest covers the CSR structure arrays only, so it is invariant
+    under dtype casts (:meth:`Graph.astype`) but changes whenever an edge
+    moves — the property serving needs to refuse wrong-graph artifacts.
+    """
+    adjacency = graph.adjacency
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(adjacency.indptr).tobytes())
+    digest.update(np.ascontiguousarray(adjacency.indices).tobytes())
+    return {
+        "name": graph.name,
+        "num_nodes": int(graph.num_nodes),
+        "num_edges": int(graph.num_edges),
+        "num_features": int(graph.num_features),
+        "num_classes": int(graph.num_classes),
+        "structure_sha256": digest.hexdigest(),
+    }
 
 
 def _check_index(index: np.ndarray, num_nodes: int, name: str) -> np.ndarray:

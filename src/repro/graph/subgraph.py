@@ -111,6 +111,9 @@ def make_inductive_split(
     unseen = np.sort(rng.choice(test, size=num_unseen, replace=False))
     observed_nodes = np.setdiff1d(np.arange(graph.num_nodes), unseen)
     observed, mapping = induced_subgraph(graph, observed_nodes)
+    # A fresh Graph normalizes Â in float64; cast it to the features'
+    # dtype so a float32 graph's observed view also trains in float32.
+    observed = observed.astype(graph.features.dtype)
     return InductiveSplit(
         observed=observed, full=graph, observed_nodes=mapping, unseen_nodes=unseen
     )

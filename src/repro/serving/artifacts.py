@@ -29,7 +29,6 @@ payload is pickled — load artifacts only from trusted paths.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,7 +37,7 @@ import scipy.sparse as sp
 
 from repro.core.ensemble import EnsembleModel
 from repro.errors import ReproError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, graph_fingerprint
 from repro.nn.module import Module
 from repro.tensor.tensor import default_dtype
 from repro.training.checkpoint import read_checkpoint, write_checkpoint
@@ -120,29 +119,8 @@ class ModelSpec:
 
 
 # ----------------------------------------------------------------------
-# Graph identity + sparse-matrix (de)hydration
+# Sparse-matrix (de)hydration
 # ----------------------------------------------------------------------
-def graph_fingerprint(graph: Graph) -> dict:
-    """Structural identity of a graph: counts plus an adjacency digest.
-
-    The digest covers the CSR structure arrays only, so it is invariant
-    under dtype casts (:meth:`Graph.astype`) but changes whenever an edge
-    moves — the property serving needs to refuse wrong-graph artifacts.
-    """
-    adjacency = graph.adjacency
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(adjacency.indptr).tobytes())
-    digest.update(np.ascontiguousarray(adjacency.indices).tobytes())
-    return {
-        "name": graph.name,
-        "num_nodes": int(graph.num_nodes),
-        "num_edges": int(graph.num_edges),
-        "num_features": int(graph.num_features),
-        "num_classes": int(graph.num_classes),
-        "structure_sha256": digest.hexdigest(),
-    }
-
-
 def _csr_state(matrix: sp.csr_matrix) -> dict:
     matrix = sp.csr_matrix(matrix)
     return {

@@ -8,7 +8,7 @@ module makes them *deterministic* instead.
 
 The runtime declares named **fault points** — :func:`fault_point` calls
 at the places where real deployments break (task execution, the harness
-seed loop, the RDD student loop, checkpoint writes, training epochs).
+seed loop, checkpoint writes, training epochs, serving).
 In production the call is a no-op costing one ``None`` check.  A test
 activates a :class:`FaultPlan` with :func:`inject`, and matching rules
 fire an exception (or run an arbitrary action, e.g. corrupting a file)
@@ -21,8 +21,6 @@ Registered sites (``site`` → where it fires):
 ``parallel:task``     before each :func:`repro.training.parallel.parallel_map`
                       task runs (``key`` = task index)
 ``harness:seed``      before each harness seed cell (``key`` = seed index)
-``rdd:student``       before each RDD student trains (``key`` = student t)
-``grid:cell``         before each grid-search cell (``key`` = cell index)
 ``trainer:epoch``     top of each training epoch (``key`` = epoch)
 ``checkpoint:save``   before a checkpoint generation is written
                       (``key`` = checkpoint name)

@@ -7,12 +7,7 @@ from repro.training.checkpoint import (
     write_checkpoint,
 )
 from repro.training.metrics import confusion_matrix, macro_f1, split_accuracies
-from repro.training.parallel import (
-    TaskTimeout,
-    parallel_map,
-    reset_fallback_warnings,
-    spawn_seeds,
-)
+from repro.training.parallel import TaskTimeout, parallel_map, reset_fallback_warnings
 from repro.training.records import EnsembleResult, TrainResult, results_bitwise_equal
 from repro.training.seed import make_rng, spawn_rngs
 from repro.training.trainer import Trainer, supervised_loss
@@ -30,7 +25,6 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "parallel_map",
-    "spawn_seeds",
     "reset_fallback_warnings",
     "TaskTimeout",
     "CheckpointStore",

@@ -1,12 +1,12 @@
 """Fault-tolerant process-pool execution for parallel training work.
 
-Harness seed loops, Bagging base models, and grid-search cells are
-independent full training runs: no shared mutable state, deterministic
-given their own seed/rng.  :func:`parallel_map` fans such tasks out over
-a process pool while guaranteeing:
+Harness seed cells (:func:`repro.evaluation.common.run_over_seeds`, the
+only caller) are independent full training runs: no shared mutable
+state, deterministic given their own seed.  :func:`parallel_map` fans
+such tasks out over a process pool while guaranteeing:
 
 * **order preservation** — results come back in task order, so seed
-  averaging and best-cell selection are identical to the serial loop;
+  averaging is identical to the serial loop;
 * **serial equivalence** — ``workers=1`` runs in-process with no pool,
   executor, or pickling involved, bit-identical to the pre-parallel code;
 * **graceful degradation** — tasks that cannot be pickled (e.g. lambda
@@ -20,8 +20,8 @@ a process pool while guaranteeing:
   Completed work is never repeated;
 * **resumability** — callers pass ``completed`` (index → result) to skip
   work recovered from a checkpoint, and ``on_result`` to persist each
-  newly computed result the moment it arrives.  Together these give
-  every loop built on ``parallel_map`` crash-safe resume for free.
+  newly computed result the moment it arrives.  Together these give the
+  harness seed loop crash-safe resume.
 
 Workers are spawned with the ``fork`` start method where available so
 graphs and configs are inherited copy-on-write instead of re-pickled per
@@ -44,9 +44,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional, TypeVar
 
 import repro.obs as obs
 from repro.errors import TrainingError
@@ -74,17 +72,6 @@ def available_cores() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # non-Linux platforms
         return max(1, os.cpu_count() or 1)
-
-
-def spawn_seeds(seed: int, count: int) -> List[int]:
-    """``count`` independent integer seeds derived from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, so the derived
-    streams are statistically independent and identical regardless of
-    which process consumes them — the contract that makes parallel and
-    serial execution produce the same models.
-    """
-    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(count)]
 
 
 # Read-only payload inherited by forked workers (see parallel_map).  Set
@@ -304,7 +291,6 @@ def parallel_map(
     fn: Callable[[T], R],
     tasks: Iterable[T],
     workers: Optional[int] = 1,
-    chunksize: int = 1,
     shared=None,
     retries: int = 0,
     backoff: float = 0.0,
@@ -345,11 +331,6 @@ def parallel_map(
         Results recovered from a checkpoint, ``{task index: result}``.
         Those tasks are skipped entirely (and not re-reported through
         ``on_result``); only the missing indices run.
-
-    ``chunksize`` is retained for backward compatibility but unused:
-    scheduling has been per-task since retries/timeouts/checkpoint hooks
-    were added, and the training tasks this module runs are seconds to
-    minutes long, so per-task submission overhead is noise.
     """
     global _SHARED
     items: List[T] = list(tasks)

@@ -17,9 +17,6 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
-from repro.testing.faults import fault_point
-from repro.training.checkpoint import CheckpointStore
-from repro.training.parallel import get_shared, parallel_map
 from repro.training.records import TrainResult
 from repro.training.trainer import Trainer
 
@@ -51,27 +48,12 @@ def grid_cells(grid: Dict[str, Sequence]) -> List[Dict[str, object]]:
     return [dict(zip(names, combo)) for combo in itertools.product(*grid.values())]
 
 
-def _run_grid_cell(task) -> TrainResult:
-    """Train one grid cell (module-level so it pickles to worker
-    processes; factory/graph/trainer arrive via the fork-shared payload)."""
-    seed, i, cell = task
-    fault_point("grid:cell", key=i)
-    factory, graph, trainer = get_shared()
-    rng = np.random.default_rng(seed + 7919 * i)
-    model = factory(graph, rng, **cell)
-    with obs.span("grid:cell", index=i, **cell):
-        return trainer.fit(model, graph)
-
-
 def grid_search(
     factory: ModelFactory,
     grid: Dict[str, Sequence],
     graph: Graph,
     trainer: Optional[Trainer] = None,
     seed: int = 0,
-    workers: int = 1,
-    checkpoint: Optional[CheckpointStore] = None,
-    checkpoint_name: str = "grid",
 ) -> GridSearchResult:
     """Train one model per grid cell; select by validation accuracy.
 
@@ -86,56 +68,15 @@ def grid_search(
     seed:
         Base seed; each cell derives its own generator so rankings are
         not confounded by shared initialization.
-    workers:
-        Worker processes for cell training.  Cells are independent, and
-        selection scans results in cell order, so any ``workers`` value
-        returns the same best cell as the serial loop.
-    checkpoint / checkpoint_name:
-        Optional :class:`CheckpointStore`: each cell's result is saved
-        as it completes, and a re-run with the same grid/seed/graph
-        trains only the cells a crashed search had not finished (cells
-        derive independent generators, so the selection is bit-identical
-        to an uninterrupted search).
     """
     trainer = trainer or Trainer()
-    cells = grid_cells(grid)
     best: Optional[TrainResult] = None
     best_params: Dict[str, object] = {}
     trials: List[Dict[str, object]] = []
-
-    on_result, done = None, None
-    if checkpoint is not None:
-        fingerprint = {
-            "kind": "grid-search",
-            "seed": int(seed),
-            "factory": getattr(factory, "__qualname__", repr(factory)),
-            "grid": repr(sorted((name, list(values)) for name, values in grid.items())),
-            "trainer": (trainer.max_epochs, trainer.patience, trainer.lr, trainer.weight_decay),
-            "graph": (
-                graph.name,
-                graph.num_nodes,
-                int(graph.num_edges),
-                graph.num_features,
-                graph.num_classes,
-            ),
-        }
-        saved = checkpoint.load(checkpoint_name, fingerprint=fingerprint) or {}
-        done = {int(index): result for index, result in saved.items()}
-        known = dict(done)
-
-        def on_result(index, result):
-            known[index] = result
-            checkpoint.save(checkpoint_name, known, fingerprint=fingerprint)
-
-    results = parallel_map(
-        _run_grid_cell,
-        [(seed, i, cell) for i, cell in enumerate(cells)],
-        workers=workers,
-        shared=(factory, graph, trainer),
-        on_result=on_result,
-        completed=done,
-    )
-    for cell, result in zip(cells, results):
+    for i, cell in enumerate(grid_cells(grid)):
+        model = factory(graph, np.random.default_rng(seed + 7919 * i), **cell)
+        with obs.span("grid:cell", index=i, **cell):
+            result = trainer.fit(model, graph)
         trials.append({**cell, "val_accuracy": result.val_accuracy, "test_accuracy": result.test_accuracy})
         if best is None or result.val_accuracy > best.val_accuracy:
             best, best_params = result, dict(cell)

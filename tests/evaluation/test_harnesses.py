@@ -1,10 +1,12 @@
 """Tests for the experiment harnesses (tiny budgets — structure, not accuracy)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.baselines.planetoid import _PlanetoidNet
 from repro.evaluation import (
     ExperimentReport,
     HarnessConfig,
@@ -22,8 +24,28 @@ from repro.evaluation import (
     table8,
     table9,
 )
+from repro.training.trainer import Trainer
 
 TINY = HarnessConfig(scale=0.1, seeds=(0,), num_base_models=2, max_epochs=20, patience=10, hidden=8)
+
+# Every training harness over the reduced grids of TestHarnessesProduceRows
+# (fig6 with its deep panel on, so the zoo models train too).
+TRAINING_HARNESSES = {
+    "fig1": lambda config: fig1.run(config, label_rates=(2.0, 5.2)),
+    "fig3": fig3.run,
+    "fig6": lambda config: fig6.run(config, sweep=(3, 5)),
+    "inductive": lambda config: ext_inductive.run(config, unseen_fraction=0.4),
+    "noise": lambda config: ext_noise.run(config, noise_levels=(0.0, 0.5)),
+    "table3": lambda config: table3.run(config, datasets=("cora",)),
+    "table4": lambda config: table4.run(config, datasets=("cora",)),
+    "table5": lambda config: table5.run(config, datasets=("cora",), depths=(2,)),
+    "table6": table6.run,
+    "table7": lambda config: table7.run(
+        config, p_values=(40.0,), gamma_values=(0.0, 1.0), beta_values=(1.0,)
+    ),
+    "table8": lambda config: table8.run(config, datasets=("cora",)),
+    "table9": lambda config: table9.run(config, target_margin=0.01),
+}
 
 
 class TestReportFormatting:
@@ -135,3 +157,30 @@ class TestHarnessesProduceRows:
         report = ext_inductive.run(TINY, unseen_fraction=0.4)
         methods = {r["method"] for r in report.rows}
         assert "GCN inductive" in methods and "RDD(Ensemble) inductive" in methods
+
+
+class TestDtypeScope:
+    @pytest.mark.parametrize("name", sorted(TRAINING_HARNESSES))
+    def test_every_fit_computes_in_float32(self, name, monkeypatch):
+        # Record the dtype of every fit's predictions (every trainer runs
+        # Trainer._run) and of Planetoid's logits, which train outside it.
+        seen = set()
+        run_epochs, logits_for = Trainer._run, _PlanetoidNet.logits_for
+
+        def recording_run(self, *args, **kwargs):
+            result = run_epochs(self, *args, **kwargs)
+            seen.add(("fit", result.predictions.dtype))
+            return result
+
+        def recording_logits(self, *args):
+            logits = logits_for(self, *args)
+            seen.add(("planetoid", logits.data.dtype))
+            return logits
+
+        monkeypatch.setattr(Trainer, "_run", recording_run)
+        monkeypatch.setattr(_PlanetoidNet, "logits_for", recording_logits)
+        TRAINING_HARNESSES[name](dataclasses.replace(TINY, dtype="float32"))
+        assert ("fit", np.dtype(np.float32)) in seen
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+        if name == "table4":
+            assert ("planetoid", np.dtype(np.float32)) in seen

@@ -89,3 +89,21 @@ class TestCli:
         loaded = load_report(out_path)
         assert loaded.rows
         assert "Figure 1" in capsys.readouterr().out
+
+    def test_library_error_is_one_line_and_exit_2(self, capsys):
+        code = main([
+            "run", "table6", "--scale", "0.05", "--seeds", "0",
+            "--hidden", "0", "--max-epochs", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hidden widths must be >= 1")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_serve_without_dataset_spec_is_a_usage_error(self, tiny_graph, tmp_path, capsys):
+        model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
+        path = export_model_artifact(
+            tmp_path / "model.rddart", model, ModelSpec("gcn", {"hidden": 8}), tiny_graph
+        )
+        assert main(["serve", "--artifact", str(path), "--port", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: the artifact embeds no dataset spec")

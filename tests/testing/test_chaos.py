@@ -2,26 +2,22 @@
 
 The contract under test is the strongest one the crash-safe runtime
 makes: after a worker crash, an interrupted checkpoint write, or even a
-corrupted checkpoint file, resuming a multi-seed harness / RDD fit /
-Bagging fit / grid search produces a result **bit-identical** to an
-uninterrupted run — every accuracy, prediction array, and ensemble
-weight, compared with :func:`results_bitwise_equal` (no tolerances).
+corrupted checkpoint file, resuming a multi-seed harness produces a
+result **bit-identical** to an uninterrupted run — every accuracy,
+prediction array, and ensemble weight, compared with
+:func:`results_bitwise_equal` (no tolerances).  The harness seed loop
+(:func:`run_over_seeds`) is the only resume point, and its cells are
+keyed by graph content: a checkpointed harness prints the same rows as
+an unchecked one even when its graphs share every count.
 """
 
-import numpy as np
 import pytest
 
-from repro.baselines.bagging import BaggingEnsemble
-from repro.core.config import RDDConfig
-from repro.core.rdd import RDDTrainer
-from repro.datasets.citation import cora_like
-from repro.evaluation.common import HarnessConfig, load_graphs, run_over_seeds, run_rdd
-from repro.models.gcn import GCN
+from repro.evaluation import HarnessConfig, ext_noise, fig1
+from repro.evaluation.common import load_graphs, run_over_seeds, run_rdd
+from repro.robustness.sweep import run_sweep
 from repro.testing.faults import CheckpointFault, FaultPlan, WorkerCrash, inject, truncate_file
-from repro.training.checkpoint import CheckpointStore
 from repro.training.records import results_bitwise_equal
-from repro.training.trainer import Trainer
-from repro.training.tuning import grid_search
 
 BUDGET = dict(scale=0.05, seeds=(0, 1, 2), num_base_models=2, max_epochs=4, patience=4, hidden=8)
 
@@ -109,82 +105,51 @@ class TestHarnessResume:
         for clean, after in zip(clean_harness, results):
             assert results_bitwise_equal(clean, after)
 
+    def test_completed_checkpoint_short_circuits_retraining(self, graphs, tmp_path):
+        config = HarnessConfig(checkpoint_dir=str(tmp_path), **BUDGET)
+        first = run_over_seeds(run_rdd, graphs, config)
 
-class TestRDDStudentResume:
-    def test_crash_mid_student_loop_then_resume_is_bit_identical(self, tmp_path):
-        graph = cora_like(seed=0, scale=0.05)
-        config = RDDConfig(num_base_models=3, max_epochs=4, patience=4, hidden=8)
-        clean = RDDTrainer(config).fit(graph, seed=0)
-
-        store = CheckpointStore(tmp_path)
-        with inject(FaultPlan().fail("rdd:student", key=2)):
-            with pytest.raises(WorkerCrash):
-                RDDTrainer(config).fit(graph, seed=0, checkpoint=store)
-
-        resumed = RDDTrainer(config).fit(graph, seed=0, checkpoint=store)
-        assert results_bitwise_equal(clean, resumed)
-        np.testing.assert_array_equal(clean.ensemble_weights, resumed.ensemble_weights)
-        for a, b in zip(clean.base_results, resumed.base_results):
-            np.testing.assert_array_equal(a.predictions, b.predictions)
-
-    def test_different_config_ignores_stale_checkpoint(self, tmp_path):
-        graph = cora_like(seed=0, scale=0.05)
-        store = CheckpointStore(tmp_path)
-        config = RDDConfig(num_base_models=2, max_epochs=4, patience=4, hidden=8)
-        RDDTrainer(config).fit(graph, seed=0, checkpoint=store)
-
-        other = RDDConfig(num_base_models=2, max_epochs=4, patience=4, hidden=8, p=60.0)
-        clean = RDDTrainer(other).fit(graph, seed=0)
-        with pytest.warns(UserWarning, match="different config/seed fingerprint"):
-            resumed = RDDTrainer(other).fit(graph, seed=0, checkpoint=store)
-        # the p=60 run must not have inherited the p=40 teacher
-        assert results_bitwise_equal(clean, resumed)
-
-    def test_completed_checkpoint_short_circuits_retraining(self, tmp_path):
-        graph = cora_like(seed=0, scale=0.05)
-        config = RDDConfig(num_base_models=2, max_epochs=4, patience=4, hidden=8)
-        store = CheckpointStore(tmp_path)
-        first = RDDTrainer(config).fit(graph, seed=0, checkpoint=store)
-
-        # A second fit finds every student already completed: no student
-        # trains (the trainer:epoch fault would fire if one did).
+        # A second run finds every seed cell already completed: nothing
+        # trains (the trainer:epoch fault would fire if anything did).
         with inject(FaultPlan().fail("trainer:epoch", at=None)):
-            again = RDDTrainer(config).fit(graph, seed=0, checkpoint=store)
-        assert results_bitwise_equal(first, again)
+            again = run_over_seeds(run_rdd, graphs, config)
+        for a, b in zip(first, again):
+            assert results_bitwise_equal(a, b)
 
 
-class TestBaggingResume:
-    def test_crash_mid_member_then_resume_is_bit_identical(self, tmp_path):
-        graph = cora_like(seed=0, scale=0.05)
-        kwargs = dict(num_base_models=3, hidden=8, max_epochs=4, patience=4)
-        clean = BaggingEnsemble(**kwargs).fit(graph, seed=0)
-
-        store = CheckpointStore(tmp_path)
-        with inject(FaultPlan().fail("parallel:task", key=2)):
-            with pytest.raises(WorkerCrash):
-                BaggingEnsemble(**kwargs).fit(graph, seed=0, checkpoint=store)
-
-        resumed = BaggingEnsemble(**kwargs).fit(graph, seed=0, checkpoint=store)
-        assert results_bitwise_equal(clean, resumed)
+# A budget at which the graphs of each sweep below share every count
+# (nodes, edges, features, classes) but train to different rows, so a
+# cell key that covered only the counts would hand one graph's
+# checkpointed results to another.
+KEY_BUDGET = dict(scale=0.1, seeds=(0,), num_base_models=2, max_epochs=20, patience=10)
 
 
-def _grid_factory(graph, rng, hidden):
-    return GCN(graph.num_features, graph.num_classes, rng, hidden=hidden, dropout=0.5)
+def _rows_with_and_without_checkpoints(run, tmp_path):
+    plain = run(HarnessConfig(**KEY_BUDGET))
+    checkpointed = run(HarnessConfig(checkpoint_dir=str(tmp_path), **KEY_BUDGET))
+    return plain.rows, checkpointed.rows
 
 
-class TestGridSearchResume:
-    def test_crash_mid_grid_then_resume_selects_same_cell(self, tmp_path):
-        graph = cora_like(seed=0, scale=0.05)
-        trainer = Trainer(max_epochs=4, patience=4)
-        grid = {"hidden": [4, 8, 12]}
-        clean = grid_search(_grid_factory, grid, graph, trainer=trainer, seed=0)
+class TestCellKeyCoversGraphContent:
+    def test_noise_levels_keep_their_own_rows(self, tmp_path):
+        plain, checkpointed = _rows_with_and_without_checkpoints(
+            lambda config: ext_noise.run(config, noise_levels=(0.0, 0.2, 0.4)), tmp_path
+        )
+        assert checkpointed == plain
+        # The noise really moves the rows, so a shared cell would show.
+        accuracies = {tuple(v for k, v in row.items() if k != "feature_noise") for row in plain}
+        assert len(accuracies) == 3
 
-        store = CheckpointStore(tmp_path)
-        with inject(FaultPlan().fail("grid:cell", key=2)):
-            with pytest.raises(WorkerCrash):
-                grid_search(_grid_factory, grid, graph, trainer=trainer, seed=0, checkpoint=store)
+    def test_attacked_graph_keeps_its_own_row(self, tmp_path):
+        def sweep(config):
+            return run_sweep(config, attacks=("dice",), budgets=(0.25,), methods=("gcn",))
 
-        resumed = grid_search(_grid_factory, grid, graph, trainer=trainer, seed=0, checkpoint=store)
-        assert resumed.best_params == clean.best_params
-        assert results_bitwise_equal(clean.best_result, resumed.best_result)
-        assert resumed.trials == clean.trials
+        plain, checkpointed = _rows_with_and_without_checkpoints(sweep, tmp_path)
+        assert checkpointed == plain
+        assert plain[0]["accuracy"] != plain[1]["accuracy"]
+
+    def test_label_rates_keep_their_own_rows(self, tmp_path):
+        plain, checkpointed = _rows_with_and_without_checkpoints(
+            lambda config: fig1.run(config, label_rates=(2.0, 5.2)), tmp_path
+        )
+        assert checkpointed == plain

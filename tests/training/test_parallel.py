@@ -19,8 +19,6 @@ import warnings as warnings_module
 import numpy as np
 import pytest
 
-from repro.baselines.bagging import BaggingEnsemble
-from repro.datasets.citation import cora_like
 from repro.evaluation.common import HarnessConfig, load_graphs, run_over_seeds, run_single_gcn
 from repro.training import parallel
 from repro.training.parallel import (
@@ -29,8 +27,8 @@ from repro.training.parallel import (
     get_shared,
     parallel_map,
     reset_fallback_warnings,
-    spawn_seeds,
 )
+from repro.training.seed import spawn_rngs
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -86,16 +84,22 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(parallel, "available_cores", lambda: 2)
 
 
+def _first_draws(seed, count):
+    return [int(rng.integers(2**62)) for rng in spawn_rngs(seed, count)]
+
+
 class TestSpawnSeeds:
+    """Ensemble members draw from :func:`spawn_rngs`, whose streams
+    derive from the root seed alone, so every process spawns the same."""
+
     def test_deterministic(self):
-        assert spawn_seeds(0, 4) == spawn_seeds(0, 4)
+        assert _first_draws(0, 4) == _first_draws(0, 4)
 
     def test_distinct(self):
-        seeds = spawn_seeds(7, 8)
-        assert len(set(seeds)) == 8
+        assert len(set(_first_draws(7, 8))) == 8
 
     def test_differs_by_root(self):
-        assert spawn_seeds(0, 4) != spawn_seeds(1, 4)
+        assert _first_draws(0, 4) != _first_draws(1, 4)
 
 
 class TestParallelMap:
@@ -158,14 +162,6 @@ class TestWorkerDeterminism:
             assert a.test_accuracy == b.test_accuracy
             assert a.val_accuracy == b.val_accuracy
             assert a.epochs_run == b.epochs_run
-
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-    def test_bagging_matches_serial(self, two_cores):
-        graph = cora_like(seed=0, scale=0.05)
-        kwargs = dict(num_base_models=2, hidden=8, max_epochs=4, patience=4)
-        serial = BaggingEnsemble(workers=1, **kwargs).fit(graph, seed=0)
-        pooled = BaggingEnsemble(workers=2, **kwargs).fit(graph, seed=0)
-        assert serial.ensemble_test_accuracy == pooled.ensemble_test_accuracy
 
 
 class TestFallbackWarnings:
