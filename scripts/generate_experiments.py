@@ -8,6 +8,11 @@ Usage::
 
 At the default settings this takes a few minutes on a laptop CPU; pass
 ``--scale 1.0 --seeds 0 1 2 3 4`` for a full-protocol run (hours).
+
+Only the text between the ``BEGIN`` and ``END`` marker lines is
+rewritten; everything outside them is hand-written and kept verbatim.
+A target file without exactly one pair of markers is refused before any
+harness runs.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from repro.evaluation import (
     table9,
 )
 from repro.io import save_report
+
+BEGIN = "<!-- BEGIN generated by scripts/generate_experiments.py; edit the script, not this region -->"
+END = "<!-- END generated region; hand-written text follows -->"
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -72,6 +80,25 @@ shapes on every run:
 """
 
 
+def splice_generated(document: str, generated: str) -> str:
+    """``document`` with the region between the markers set to ``generated``.
+
+    Raises ``ValueError`` unless the document holds exactly one ``BEGIN``
+    line followed by one ``END`` line: without them the whole file would
+    be overwritten, hand-written sections included.
+    """
+    if document.count(BEGIN) != 1 or document.count(END) != 1 or (
+        document.index(BEGIN) > document.index(END)
+    ):
+        raise ValueError(
+            f"expected one {BEGIN!r} line followed by one {END!r} line; "
+            "refusing to overwrite hand-written text"
+        )
+    head, rest = document.split(BEGIN)
+    tail = rest.split(END)[1]
+    return f"{head}{BEGIN}\n{generated}{END}{tail}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=float, default=0.25)
@@ -81,6 +108,12 @@ def main() -> None:
     parser.add_argument("--out", type=str, default="EXPERIMENTS.md")
     parser.add_argument("--reports-dir", type=str, default="reports")
     args = parser.parse_args()
+    out = Path(args.out)
+    document = out.read_text() if out.exists() else ""
+    try:
+        splice_generated(document, "")
+    except ValueError as exc:
+        raise SystemExit(f"error: {args.out}: {exc}")
 
     config = HarnessConfig(
         scale=args.scale,
@@ -132,7 +165,7 @@ def main() -> None:
         print(f"[{time.strftime('%H:%M:%S')}] {name} done in {elapsed:.1f}s", flush=True)
 
     buffer.write(SHAPE_NOTES)
-    Path(args.out).write_text(buffer.getvalue())
+    out.write_text(splice_generated(document, buffer.getvalue()))
     print(f"wrote {args.out} and JSON reports to {reports_dir}/")
 
 

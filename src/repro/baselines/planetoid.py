@@ -171,8 +171,7 @@ class Planetoid:
         rng = make_rng(seed)
         features = graph.features
         if sp.issparse(features):
-            features = np.asarray(features.todense())
-        features = np.asarray(features, dtype=np.float64)
+            features = features.toarray()
 
         net = _PlanetoidNet(
             graph.num_features, graph.num_classes, graph.num_nodes,

@@ -419,8 +419,9 @@ def _cmd_deltas(args) -> int:
     )
     for index, delta in enumerate(log):
         started = time.perf_counter()
+        invalidated_before = engine.metrics.counter("rows_invalidated_total")
         version = engine.apply_delta(delta)
-        invalidated = int(engine._stale.sum())
+        invalidated = engine.metrics.counter("rows_invalidated_total") - invalidated_before
         refreshed = engine.refresh() if args.mode == "eager" else 0
         elapsed_ms = (time.perf_counter() - started) * 1e3
         print(

@@ -1,7 +1,7 @@
 """Graph substrate: containers, normalizations, PageRank, stats, walks."""
 
 from repro.graph.graph import Graph, build_adjacency, graph_fingerprint
-from repro.graph.delta import DeltaLog, GraphDelta, apply_delta, k_hop_rows
+from repro.graph.delta import DeltaLog, GraphDelta, apply_delta, k_hop_closures
 from repro.graph.normalize import (
     add_self_loops,
     gcn_normalize,
@@ -20,7 +20,7 @@ __all__ = [
     "GraphDelta",
     "DeltaLog",
     "apply_delta",
-    "k_hop_rows",
+    "k_hop_closures",
     "gcn_normalize",
     "row_normalize",
     "row_normalize_features",

@@ -156,11 +156,18 @@ class Graph:
     # Cached derived artifacts
     # ------------------------------------------------------------------
     def normalized_adjacency(self) -> sp.csr_matrix:
-        """GCN propagation matrix ``D̂^{-1/2} (A + I) D̂^{-1/2}`` (cached)."""
+        """GCN propagation matrix ``D̂^{-1/2} (A + I) D̂^{-1/2}`` (cached).
+
+        Normalized at float64, then cast to the features' float dtype:
+        ``Â`` multiplies activations of that dtype in every forward.
+        """
         if self._normalized is None:
             from repro.graph.normalize import gcn_normalize
 
-            self._normalized = gcn_normalize(self.adjacency)
+            normalized = gcn_normalize(self.adjacency)
+            if np.issubdtype(self.features.dtype, np.floating):
+                normalized = normalized.astype(self.features.dtype, copy=False)
+            self._normalized = normalized
         return self._normalized
 
     def edge_list(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -227,8 +234,7 @@ class Graph:
         compute runs fully in ``dtype``.  A no-op returns ``self``.
         """
         dtype = np.dtype(dtype)
-        normalized = self.normalized_adjacency()
-        if self.features.dtype == dtype and normalized.dtype == dtype:
+        if self.features.dtype == dtype and self.normalized_adjacency().dtype == dtype:
             return self
         clone = Graph(
             self.adjacency,
@@ -239,7 +245,12 @@ class Graph:
             self.test_index,
             name=self.name,
         )
-        clone._normalized = normalized.astype(dtype)
+        if self._normalized is None:
+            # Normalize afresh rather than through this graph's dtype,
+            # so a float32 graph cast to float64 gets an exact float64 Â.
+            clone.normalized_adjacency()
+        else:
+            clone._normalized = self._normalized.astype(dtype)
         clone._edges = self._edges
         clone._pagerank = self._pagerank
         return clone

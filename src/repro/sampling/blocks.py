@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
-from repro.sampling.neighbor import NeighborSampler, check_node_ids
+from repro.sampling.neighbor import NeighborSampler, check_node_ids, raw_csr
 
 
 @dataclass
@@ -109,20 +109,6 @@ class _ScratchPool:
             buf = np.empty(size, dtype=dtype)
             self._buffers[key] = buf
         return buf[:size]
-
-
-def _raw_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-             shape: Tuple[int, int]) -> sp.csr_matrix:
-    # The arrays are constructed sorted and in-range, so re-validating
-    # them in __init__ is pure overhead on the per-batch hot path; build
-    # the container directly around them (same idiom as the sparse
-    # Dropout path in nn/layers.py).
-    out = sp.csr_matrix.__new__(sp.csr_matrix)
-    out.data = data
-    out.indices = indices
-    out.indptr = indptr
-    out._shape = shape
-    return out
 
 
 class FrontierIndex:
@@ -259,5 +245,5 @@ class BlockBuilder:
         np.take(cols, order, out=indices)
         indptr[0] = 0
         np.cumsum(counts + 1, out=indptr[1:])
-        adjacency = _raw_csr(data, indices, indptr, (num_out, num_in))
+        adjacency = raw_csr(data, indices, indptr, (num_out, num_in))
         return Block(input_nodes=input_nodes, output_nodes=current, adjacency=adjacency)

@@ -61,7 +61,7 @@ import scipy.sparse as sp
 
 import repro.obs as obs
 from repro.errors import ReproError
-from repro.graph.delta import GraphDelta, apply_delta, k_hop_rows
+from repro.graph.delta import GraphDelta, apply_delta, k_hop_closures
 from repro.graph.graph import Graph
 from repro.graph.subgraph import induced_subgraph
 from repro.models.base import softmax_rows
@@ -192,6 +192,7 @@ class PredictionEngine:
         self._delta_listeners: List[Callable[[int], None]] = []
         self._refresher: Optional[RowRefresher] = None
         self._stale: Optional[np.ndarray] = None
+        self._closures: List[np.ndarray] = []
         self._base_adjacency: Optional[sp.csr_matrix] = None
         self._pending_dirty = np.empty(0, dtype=np.int64)
         if self.streaming:
@@ -256,6 +257,8 @@ class PredictionEngine:
         replaces :attr:`graph` atomically under the engine lock, and the
         rows of the logits table within the model's receptive field of
         *everything* edited since the last refresh are marked stale.
+        Their closure at every layer depth comes from one traversal and
+        is kept for :meth:`refresh`, which reuses it until the next delta.
         Nothing is recomputed here — that happens lazily on the next
         query touching a stale row, or eagerly in a
         :class:`~repro.serving.refresh.BackgroundRefresher` cycle.
@@ -271,16 +274,16 @@ class PredictionEngine:
                 self.graph = updated
                 self._version += 1
                 self._pending_dirty = np.union1d(self._pending_dirty, dirty)
-                stale_rows = k_hop_rows(
+                self._closures = k_hop_closures(
                     [self._base_adjacency, updated.adjacency],
                     self._pending_dirty,
                     self._refresher.num_layers,
                 )
                 stale = np.zeros(updated.num_nodes, dtype=bool)
-                stale[stale_rows] = True
+                stale[self._closures[-1]] = True
                 self._stale = stale
                 self.metrics.inc("deltas_total")
-                self.metrics.inc("rows_invalidated_total", int(stale.sum()))
+                self.metrics.inc("rows_invalidated_total", len(self._closures[-1]))
                 version = self._version
         for listener in list(self._delta_listeners):
             listener(version)
@@ -301,20 +304,14 @@ class PredictionEngine:
                 self._table = self._refresher.rebuild(graph)
                 refreshed = graph.num_nodes
             elif self._stale.any():
-                hops = self._refresher.num_layers
-                closures = [
-                    k_hop_rows(
-                        [self._base_adjacency, graph.adjacency], self._pending_dirty, l
-                    )
-                    for l in range(hops + 1)
-                ]
-                refreshed = self._refresher.refresh(graph, closures)
+                refreshed = self._refresher.refresh(graph, self._closures)
                 self._table = self._refresher.table
                 self.metrics.inc("rows_refreshed_total", refreshed)
             else:
                 return 0
             self._base_adjacency = graph.adjacency
             self._pending_dirty = np.empty(0, dtype=np.int64)
+            self._closures = []
             self._stale = np.zeros(graph.num_nodes, dtype=bool)
             return refreshed
 

@@ -11,12 +11,18 @@ two classes here turn that observation into a serving primitive:
   function of its own inputs, independent of which other rows are
   computed alongside it.  Sparse products already have this property
   (CSR kernels iterate rows independently); dense supports get it from a
-  fixed-shape zero-padded block GEMM (:data:`BLOCK` rows per call, same
-  shape whether rebuilding everything or one block).  Because full
-  rebuilds and partial refreshes run the *same* routine, refreshing the
-  k-hop-affected rows after a delta reproduces, bitwise, the table a
-  from-scratch rebuild on the updated graph would produce — the parity
-  property ``tests/serving/test_refresh.py`` enforces.
+  fixed-shape zero-padded block GEMM: the requested rows are packed,
+  :data:`BLOCK` at a time, into a ``(BLOCK, in_dim)`` block, so a
+  refresh computes only the closure rows and a rebuild is the same
+  routine over every row in order.  Because full rebuilds and partial
+  refreshes run the *same* routine, refreshing the k-hop-affected rows
+  after a delta reproduces, bitwise, the table a from-scratch rebuild on
+  the updated graph would produce — the parity property
+  ``tests/serving/test_refresh.py`` enforces.  Packing relies on the
+  BLAS computing each row of a fixed-shape product independently of its
+  position and of the other rows in the block; a hypothesis test there
+  pins that for the installed BLAS (an unpadded ``m``-row product is not
+  row-pure, which is why the block shape never changes).
 
   Note the one deliberate divergence: an unstreamed engine's table comes
   from the model's eval forward (:meth:`GraphModel.predict_logits`), whose
@@ -45,6 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.graph import Graph
+from repro.sampling.neighbor import take_rows
 from repro.tensor.sparse import sparse_dense_matmul
 from repro.testing.faults import fault_point
 import repro.obs as obs
@@ -52,8 +59,9 @@ import repro.obs as obs
 __all__ = ["RowRefresher", "BackgroundRefresher", "BLOCK"]
 
 # Rows per dense-support GEMM call.  Every call multiplies a zero-padded
-# (BLOCK, in_dim) block, so the kernel — and therefore each row's float
-# summation order — never depends on how many rows are actually live.
+# (BLOCK, in_dim) block of packed rows, so the kernel — and therefore
+# each row's float summation order — never depends on how many rows are
+# live or which rows share the block.
 BLOCK = 256
 
 
@@ -87,40 +95,32 @@ class RowRefresher:
         return None if self._hidden is None else self._hidden[-1]
 
     # ------------------------------------------------------------------
-    def _dense_support_block(self, h: np.ndarray, weight: np.ndarray, start: int) -> np.ndarray:
-        stop = min(start + BLOCK, h.shape[0])
-        block = np.zeros((BLOCK, h.shape[1]), dtype=h.dtype)
-        block[: stop - start] = h[start:stop]
-        return (block @ weight)[: stop - start]
+    def _support(self, h, weight: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """``(h @ weight)[rows]`` (every row when ``rows`` is None).
 
-    def _support_full(self, h, weight: np.ndarray) -> np.ndarray:
-        if sp.issparse(h):
-            return sparse_dense_matmul(h.tocsr(), weight)
-        out = np.empty((h.shape[0], weight.shape[1]), dtype=weight.dtype)
-        for start in range(0, h.shape[0], BLOCK):
-            stop = min(start + BLOCK, h.shape[0])
-            out[start:stop] = self._dense_support_block(h, weight, start)
-        return out
-
-    def _support_rows(self, h, weight: np.ndarray, target: np.ndarray, rows: np.ndarray) -> None:
-        """Update ``target[rows]`` (and, dense, their whole blocks) in place.
-
-        Dense refreshes recompute every block a changed row lives in; the
-        block's unchanged rows reproduce their prior values bitwise (row
-        purity), so overwriting the whole block is safe and keeps the
-        per-call GEMM shape fixed.
+        Dense inputs pack the requested rows, in order, into a
+        zero-padded ``(BLOCK, in_dim)`` block per GEMM call, so every
+        row goes through the same kernel shape whichever rows share its
+        block — a full rebuild is this routine over all rows.
         """
         if sp.issparse(h):
-            target[rows] = sparse_dense_matmul(h[rows].tocsr(), weight)
-            return
-        for start in np.unique(rows // BLOCK) * BLOCK:
-            stop = min(start + BLOCK, h.shape[0])
-            target[start:stop] = self._dense_support_block(h, weight, start)
+            h = h.tocsr()
+            return sparse_dense_matmul(h if rows is None else take_rows(h, rows), weight)
+        if rows is None:
+            rows = np.arange(h.shape[0])
+        out = np.empty((len(rows), weight.shape[1]), dtype=weight.dtype)
+        block = np.zeros((BLOCK, h.shape[1]), dtype=h.dtype)
+        for start in range(0, len(rows), BLOCK):
+            chunk = rows[start : start + BLOCK]
+            np.take(h, chunk, axis=0, out=block[: len(chunk)])
+            block[len(chunk) :] = 0
+            out[start : start + len(chunk)] = (block @ weight)[: len(chunk)]
+        return out
 
     def _aggregate_rows(
         self, adjacency: sp.csr_matrix, support: np.ndarray, bias, relu: bool, rows=None
     ) -> np.ndarray:
-        matrix = adjacency if rows is None else adjacency[rows]
+        matrix = adjacency if rows is None else take_rows(adjacency, rows)
         out = sparse_dense_matmul(matrix, support)
         if bias is not None:
             out += bias
@@ -136,7 +136,7 @@ class RowRefresher:
         supports, hidden = [], []
         last = self.num_layers - 1
         for i, (weight, bias) in enumerate(zip(self._weights, self._biases)):
-            support = self._support_full(h, weight)
+            support = self._support(h, weight)
             supports.append(support)
             h = self._aggregate_rows(adjacency, support, bias, relu=i < last)
             hidden.append(h)
@@ -169,7 +169,7 @@ class RowRefresher:
         for i, (weight, bias) in enumerate(zip(self._weights, self._biases)):
             rows_in, rows_out = closures[i], closures[i + 1]
             if len(rows_in):
-                self._support_rows(h, weight, self._supports[i], rows_in)
+                self._supports[i][rows_in] = self._support(h, weight, rows_in)
             if len(rows_out):
                 self._hidden[i][rows_out] = self._aggregate_rows(
                     adjacency, self._supports[i], bias, relu=i < last, rows=rows_out

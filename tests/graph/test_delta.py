@@ -29,7 +29,7 @@ from repro.graph import (
     apply_delta,
     build_adjacency,
     gcn_normalize,
-    k_hop_rows,
+    k_hop_closures,
 )
 
 from ..conftest import make_two_block_graph
@@ -80,6 +80,7 @@ def random_delta(graph: Graph, rng: np.random.Generator, allow_new_nodes: bool =
 
 def assert_csr_invariants(matrix: sp.csr_matrix) -> None:
     assert isinstance(matrix, sp.csr_matrix)
+    assert matrix.indices.dtype == matrix.indptr.dtype, "mixed index dtypes"
     assert matrix.indptr[0] == 0 and matrix.indptr[-1] == len(matrix.indices)
     assert np.all(np.diff(matrix.indptr) >= 0)
     for row in range(matrix.shape[0]):
@@ -403,14 +404,14 @@ class TestKHopRows:
     def test_zero_hops_is_the_seed_set(self):
         graph = make_two_block_graph(seed=0)
         np.testing.assert_array_equal(
-            k_hop_rows([graph.adjacency], np.asarray([4, 2, 4]), 0), [2, 4]
+            k_hop_closures([graph.adjacency], np.asarray([4, 2, 4]), 0)[-1], [2, 4]
         )
 
     def test_one_hop_is_seeds_plus_neighbors(self):
         graph = make_two_block_graph(seed=0)
         adjacency = graph.adjacency
         seed = 7
-        closure = k_hop_rows([adjacency], np.asarray([seed]), 1)
+        closure = k_hop_closures([adjacency], np.asarray([seed]), 1)[-1]
         neighbors = adjacency.indices[adjacency.indptr[seed] : adjacency.indptr[seed + 1]]
         assert set(closure) == {seed} | set(neighbors.tolist())
 
@@ -419,7 +420,7 @@ class TestKHopRows:
         adjacency = graph.adjacency
         seeds = np.asarray([0, 31])
         for hops in (1, 2, 3):
-            closure = k_hop_rows([adjacency], seeds, hops)
+            closure = k_hop_closures([adjacency], seeds, hops)[-1]
             frontier = np.zeros(graph.num_nodes)
             frontier[seeds] = 1.0
             mask = frontier.copy()
@@ -435,8 +436,28 @@ class TestKHopRows:
             graph, GraphDelta(removed_edges=[sorted(edge_set(graph))[0]])
         )
         u, v = sorted(edge_set(graph))[0]
-        closure = k_hop_rows([graph.adjacency, updated.adjacency], np.asarray([u]), 1)
+        closure = k_hop_closures([graph.adjacency, updated.adjacency], np.asarray([u]), 1)[-1]
         assert v in closure
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_level_matches_union_reachability(self, seed):
+        """One traversal gives each depth's closure over the union of the
+        pre- and post-delta structures (node appends included)."""
+        graph = make_two_block_graph(seed=seed)
+        delta = random_delta(graph, np.random.default_rng(seed))
+        updated = apply_delta(graph, delta)
+        seeds = delta.dirty_nodes(graph.num_nodes)
+        closures = k_hop_closures([graph.adjacency, updated.adjacency], seeds, 3)
+        assert len(closures) == 4
+        size = updated.num_nodes
+        old = graph.adjacency.copy()
+        old.resize((size, size))
+        union = ((old + updated.adjacency) > 0).astype(np.float64)
+        frontier = np.zeros(size)
+        frontier[seeds] = 1.0
+        for closure in closures:
+            np.testing.assert_array_equal(closure, np.flatnonzero(frontier > 0))
+            frontier = union @ frontier + frontier
 
     def test_seeds_beyond_small_adjacency_are_clipped(self):
         graph = make_two_block_graph(seed=0)
@@ -447,7 +468,7 @@ class TestKHopRows:
                 new_features=np.zeros((1, graph.num_features)),
             ),
         )
-        closure = k_hop_rows(
+        closure = k_hop_closures(
             [graph.adjacency, bigger.adjacency], np.asarray([graph.num_nodes]), 1
-        )
+        )[-1]
         assert 0 in closure and graph.num_nodes in closure

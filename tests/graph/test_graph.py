@@ -121,6 +121,39 @@ class TestGraphProperties:
         assert pr.sum() == pytest.approx(1.0)
         assert g.pagerank() is pr
 
+    def test_float32_parts_normalize_to_float32(self):
+        """A graph built from float32 parts, a subgraph of one and a
+        lazily normalized post-delta graph all propagate in float32."""
+        from repro.graph import DeltaLog, GraphDelta, gcn_normalize, induced_subgraph
+
+        g = simple_graph()
+        g32 = Graph(g.adjacency, g.features.astype(np.float32), g.labels,
+                    g.train_index, g.val_index, g.test_index)
+        sub, _ = induced_subgraph(g32, np.array([0, 1, 2, 3]))
+        log = DeltaLog([GraphDelta(added_edges=[[0, 5]])])
+        for graph in (g32, sub, log.replay(g32)):
+            assert graph._normalized is None
+            normalized = graph.normalized_adjacency()
+            assert normalized.dtype == np.float32
+            expected = gcn_normalize(graph.adjacency).astype(np.float32)
+            assert (normalized != expected).nnz == 0
+
+    def test_float64_normalization_is_unchanged(self):
+        """Float64 graphs, and float32 graphs cast up to float64, still get
+        the exact float64 normalization."""
+        from repro.graph import gcn_normalize
+
+        g = simple_graph()
+        g32 = Graph(g.adjacency, g.features.astype(np.float32), g.labels,
+                    g.train_index, g.val_index, g.test_index)
+        expected = gcn_normalize(g.adjacency)
+        for graph in (g, g32.astype(np.float64)):
+            normalized = graph.normalized_adjacency()
+            assert normalized.dtype == np.float64
+            np.testing.assert_array_equal(normalized.indptr, expected.indptr)
+            np.testing.assert_array_equal(normalized.indices, expected.indices)
+            assert normalized.data.tobytes() == expected.data.tobytes()
+
     def test_repr_mentions_name_and_counts(self):
         text = repr(simple_graph())
         assert "graph" in text and "nodes=6" in text

@@ -1,9 +1,12 @@
 """Tests for the Planetoid baseline."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import Planetoid
+from repro.baselines.planetoid import _PlanetoidNet
 from repro.errors import ConfigError
+from repro.tensor import default_dtype
 
 
 class TestPlanetoid:
@@ -40,3 +43,19 @@ class TestPlanetoid:
         a = Planetoid(epochs=5, embed_dim=8, hidden=8).fit(tiny_graph, seed=3)
         b = Planetoid(epochs=5, embed_dim=8, hidden=8).fit(tiny_graph, seed=3)
         assert a.test_accuracy == b.test_accuracy
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_features_stay_in_the_graph_dtype(self, tiny_graph, dtype, monkeypatch):
+        """The dense feature copy is made in the run's dtype, not float64."""
+        seen = set()
+        logits_for = _PlanetoidNet.logits_for
+
+        def record(net, features, index):
+            seen.add(features.dtype)
+            return logits_for(net, features, index)
+
+        monkeypatch.setattr(_PlanetoidNet, "logits_for", record)
+        with default_dtype(dtype):
+            Planetoid(epochs=2, embed_dim=8, hidden=8).fit(tiny_graph.astype(dtype), seed=0)
+        assert seen == {np.dtype(dtype)}
+

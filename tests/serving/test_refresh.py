@@ -13,13 +13,18 @@ The streaming contract, in decreasing order of strength:
    is never returned after it.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graph import GraphDelta, apply_delta
+import repro.serving.engine as engine_module
+import repro.serving.refresh as refresh_module
+from repro.graph import GraphDelta, apply_delta, k_hop_closures
 from repro.serving import (
     BackgroundRefresher,
     PredictionEngine,
@@ -228,16 +233,14 @@ class TestLaziness:
         assert streaming_engine.metrics.counter("rows_refreshed_total") > 0
 
     def test_stale_mask_is_khop_closure(self, streaming_engine, tiny_graph):
-        from repro.graph import k_hop_rows
-
         streaming_engine.logits_table()
         pair = edge_pairs(tiny_graph)[5]
         streaming_engine.apply_delta(GraphDelta(removed_edges=[pair]))
-        expected = k_hop_rows(
+        expected = k_hop_closures(
             [tiny_graph.adjacency, streaming_engine.graph.adjacency],
             np.asarray(pair),
             streaming_engine._refresher.num_layers,
-        )
+        )[-1]
         np.testing.assert_array_equal(
             np.flatnonzero(streaming_engine._stale), expected
         )
@@ -367,3 +370,103 @@ class TestRowRefresherUnit:
         refresher.rebuild(tiny_graph)
         with pytest.raises(ValueError, match="closures"):
             refresher.refresh(tiny_graph, [np.arange(1)])
+
+
+def _blas() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except Exception:  # the config layout is numpy's, not ours
+        return "this build's BLAS"
+
+
+class TestPackedSupportRowPurity:
+    """Refreshes pack only the closure rows into each fixed-shape GEMM,
+    which is exact only if the BLAS computes every row of a
+    ``(BLOCK, in_dim)`` product independently of its position and of the
+    other rows in the block."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_packed_rows_equal_the_full_rebuild_rows(self, gcn_model, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        num_rows = data.draw(st.integers(1, 3 * refresh_module.BLOCK), label="rows")
+        in_dim = data.draw(st.integers(1, 40), label="in_dim")
+        out_dim = data.draw(st.integers(1, 16), label="out_dim")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        h = rng.normal(size=(num_rows, in_dim)).astype(dtype)
+        weight = rng.normal(size=(in_dim, out_dim)).astype(dtype)
+        count = data.draw(st.integers(1, num_rows), label="subset")
+        rows = np.sort(rng.choice(num_rows, size=count, replace=False))
+        if data.draw(st.booleans(), label="shuffled"):
+            rows = rng.permutation(rows)
+        refresher = RowRefresher(gcn_model, dtype)
+        full = refresher._support(h, weight)
+        packed = refresher._support(h, weight, rows)
+        assert packed.tobytes() == full[rows].tobytes(), (
+            f"{_blas()}: a row of a packed (BLOCK, in_dim) GEMM differs from the "
+            "same row in a full rebuild, so refreshed tables would drift from "
+            "rebuilt ones"
+        )
+
+
+class _CountingWeight(np.ndarray):
+    """A weight that records the row count of every product it ends."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[-1] is self:
+            self.rows.append(inputs[0].shape[0])
+        plain = [np.asarray(x) if isinstance(x, _CountingWeight) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestStreamingWorkCounts:
+    def test_one_traversal_per_delta_and_none_per_refresh(
+        self, streaming_engine, some_deltas, monkeypatch
+    ):
+        calls = []
+        traverse = engine_module.k_hop_closures
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return traverse(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "k_hop_closures", counting)
+        streaming_engine.logits_table()
+        for delta in some_deltas:
+            streaming_engine.apply_delta(delta)
+            assert len(calls) == 1
+            assert streaming_engine.refresh() > 0
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_dense_support_rows_are_packed(
+        self, streaming_engine, tiny_graph, some_deltas, monkeypatch
+    ):
+        """Each layer's GEMMs cover its closure rounded up to whole
+        blocks, not every block a closure row lives in."""
+        monkeypatch.setattr(refresh_module, "BLOCK", 8)
+        refresher = streaming_engine._refresher
+        weights = []
+        for i, weight in enumerate(refresher._weights):
+            counting = weight.view(_CountingWeight)
+            counting.rows = []
+            refresher._weights[i] = counting
+            weights.append(counting)
+        streaming_engine.logits_table()
+        graph = tiny_graph
+        for delta in some_deltas:
+            closures = k_hop_closures(
+                [graph.adjacency, apply_delta(graph, delta).adjacency],
+                delta.dirty_nodes(graph.num_nodes),
+                refresher.num_layers,
+            )
+            graph = apply_delta(graph, delta)
+            for weight in weights:
+                weight.rows.clear()
+            streaming_engine.apply_delta(delta)
+            streaming_engine.refresh()
+            for layer, weight in enumerate(weights):
+                assert sum(weight.rows) <= math.ceil(len(closures[layer]) / 8) * 8
+            assert sum(weights[1].rows) < len(np.unique(closures[1] // 8)) * 8
+

@@ -235,7 +235,7 @@ class TestBatcherUnderDeltas:
             with MicroBatcher(
                 engine.predict_many, max_batch_size=4, max_wait_s=0.001
             ) as batcher:
-                with BackgroundRefresher(engine, interval_s=0.002):
+                with BackgroundRefresher(engine, interval_s=0.002) as refresher:
                     futures = []
                     for delta in delta_sequence:
                         engine.apply_delta(delta)
@@ -246,6 +246,11 @@ class TestBatcherUnderDeltas:
                         rows = future.result(timeout=10)
                         assert rows.shape[0] == 1 and np.isfinite(rows).all()
                         answered += 1
+                    # The storm can finish before the refresher thread is
+                    # first scheduled; let it run (and fail) one cycle.
+                    deadline = time.monotonic() + 10
+                    while refresher.errors == 0 and time.monotonic() < deadline:
+                        time.sleep(0.001)
         assert answered == 4 * len(delta_sequence)
         assert plan.fired("serving:refresh") >= 1
         # The engine is still healthy after the storm of failed cycles.

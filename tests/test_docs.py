@@ -69,6 +69,45 @@ class TestBenchesAndScriptsImport:
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
+def _generator():
+    path = REPO / "scripts" / "generate_experiments.py"
+    spec = importlib.util.spec_from_file_location("_generate_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGeneratedExperimentsRegion:
+    """The EXPERIMENTS.md generator rewrites only its marked region."""
+
+    def test_splice_keeps_text_outside_the_markers(self):
+        gen = _generator()
+        document = f"intro\n{gen.BEGIN}\nold tables\n{gen.END}\n\n## Hand-written\n"
+        spliced = gen.splice_generated(document, "new tables\n")
+        assert spliced == f"intro\n{gen.BEGIN}\nnew tables\n{gen.END}\n\n## Hand-written\n"
+        assert gen.splice_generated(spliced, "new tables\n") == spliced
+
+    @pytest.mark.parametrize("layout", ["none", "begin only", "twice", "reversed"])
+    def test_refuses_a_document_without_one_marker_pair(self, layout):
+        gen = _generator()
+        document = {
+            "none": "# EXPERIMENTS\n",
+            "begin only": f"{gen.BEGIN}\ntables\n",
+            "twice": f"{gen.BEGIN}\n{gen.END}\n{gen.BEGIN}\n{gen.END}\n",
+            "reversed": f"{gen.END}\ntables\n{gen.BEGIN}\n",
+        }[layout]
+        with pytest.raises(ValueError, match="refusing to overwrite"):
+            gen.splice_generated(document, "tables\n")
+
+    def test_experiments_md_keeps_its_hand_written_sections_outside(self):
+        gen = _generator()
+        text = (REPO / "EXPERIMENTS.md").read_text()
+        tail = gen.splice_generated(text, "").split(gen.END)[1]
+        for heading in ("## Table 8 caveat", "## Timing recipe", "## Crash-safe long runs",
+                        "## Streaming deltas"):
+            assert heading in tail
+
+
 # Every doc a reader follows to find code, scripts or results.
 PATH_DOCS = sorted(
     [
