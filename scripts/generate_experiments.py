@@ -140,7 +140,7 @@ def main() -> None:
         ("table8", lambda: table8.run(config, datasets=("cora", "citeseer", "pubmed"))),
         ("table9", lambda: table9.run(config)),
         ("ext_noise", lambda: ext_noise.run(light_config)),
-        ("ext_inductive", lambda: ext_inductive.run(light_config)),
+        ("ext_inductive", lambda: ext_inductive.run(config)),
     ]
 
     reports_dir = Path(args.reports_dir)

@@ -291,7 +291,6 @@ def _cmd_export(args) -> int:
         from repro.core.config import RDDConfig
         from repro.core.ensemble import EnsembleModel
         from repro.core.rdd import RDDTrainer
-        from repro.models.base import softmax_rows
 
         config = RDDConfig(
             num_base_models=args.ensemble,
@@ -306,9 +305,9 @@ def _cmd_export(args) -> int:
             # logits and α-weights the fit recorded — the same arrays
             # RDDTrainer fed EnsembleModel.add, so the served teacher is
             # bitwise the trained one.
-            teacher = EnsembleModel()
-            for base, weight in zip(result.base_results, result.ensemble_weights):
-                teacher.add(softmax_rows(base.predictions), base.predictions, float(weight))
+            teacher = EnsembleModel.from_logits(
+                [base.predictions for base in result.base_results], result.ensemble_weights
+            )
         path = export_ensemble_artifact(
             args.out, teacher, graph, dataset=dataset_spec,
             metadata={"test_accuracy": result.ensemble_test_accuracy},

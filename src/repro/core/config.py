@@ -64,9 +64,6 @@ class RDDConfig:
     # Uncertainty score for Algorithm 1's rank thresholds: "entropy"
     # (the paper's), "margin", or "confidence" — an ablatable extension.
     reliability_score: str = "entropy"
-    # Labeled-node reliability check: "teacher" (§3.1 prose, default) or
-    # "student" (the literal Algorithm 1 line 4) — see core.reliability.
-    labeled_check: str = "teacher"
     # Record per-epoch loss/val-accuracy history on every student's
     # TrainResult (golden-trajectory regression fixtures rely on this).
     record_history: bool = False
@@ -105,10 +102,6 @@ class RDDConfig:
             raise ConfigError(
                 f"reliability_score must be one of {RELIABILITY_SCORES}, "
                 f"got {self.reliability_score!r}"
-            )
-        if self.labeled_check not in ("teacher", "student"):
-            raise ConfigError(
-                f"labeled_check must be 'teacher' or 'student', got {self.labeled_check!r}"
             )
         if self.sampler not in ("full", "neighbor"):
             raise ConfigError(f"sampler must be 'full' or 'neighbor', got {self.sampler!r}")

@@ -103,6 +103,16 @@ class EnsembleModel:
         """Argmax labels of base model ``index``."""
         return self._probs[index].argmax(axis=1)
 
+    @classmethod
+    def from_logits(cls, logits: Sequence[np.ndarray], weights: Sequence[float]) -> "EnsembleModel":
+        """The ensemble of base models with these logits and raw α-weights,
+        built exactly as :class:`~repro.core.rdd.RDDTrainer` builds its
+        teacher (so it reproduces the teacher a fit reports)."""
+        ensemble = cls()
+        for member_logits, weight in zip(logits, weights):
+            ensemble.add(softmax_rows(member_logits), member_logits, float(weight))
+        return ensemble
+
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------

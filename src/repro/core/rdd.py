@@ -213,7 +213,6 @@ class RDDTrainer:
             p=config.p,
             use_reliability=config.use_node_reliability,
             score=config.reliability_score,
-            labeled_check=config.labeled_check,
         )
 
         # Observability captured once per student: the per-epoch refresh

@@ -5,7 +5,7 @@ Reliability decides which teacher predictions the student may learn from:
 * a **labeled** node is reliable iff the teacher classifies it correctly
   (§3.1; Algorithm 1 line 4 writes the check with the student's
   prediction, but the prose defines reliability through the *teacher's*
-  correctness — we follow the prose and note the discrepancy here);
+  correctness — the two readings disagree, and we follow the prose);
 * an **unlabeled** node is reliable iff its teacher-output entropy is in
   the lowest ``p``% over all nodes *and* teacher and student predict the
   same label (Alg. 1 lines 7–8);
@@ -114,10 +114,10 @@ class TeacherContext:
 
     The teacher ensemble is frozen for the whole of one student's
     training, so its argmax predictions, its uncertainty ranking (the
-    lowest-``p``% threshold mask), and — under the ``"teacher"`` labeled
-    check — the labeled-node reliability are identical across every
-    per-epoch :func:`node_reliability` call.  Hoisting them out turns the
-    per-epoch refresh into student-side work only.
+    lowest-``p``% threshold mask), and the labeled-node reliability are
+    identical across every per-epoch :func:`node_reliability` call.
+    Hoisting them out turns the per-epoch refresh into student-side work
+    only.
     """
 
     teacher_probs: np.ndarray
@@ -125,7 +125,6 @@ class TeacherContext:
     p: float
     use_reliability: bool
     score: str
-    labeled_check: str
     labeled_mask: Optional[np.ndarray] = None
     labeled_reliable: Optional[np.ndarray] = None
     low_teacher_uncertainty: Optional[np.ndarray] = None
@@ -138,17 +137,12 @@ def teacher_context(
     p: float = 40.0,
     use_reliability: bool = True,
     score: str = "entropy",
-    labeled_check: str = "teacher",
 ) -> TeacherContext:
     """Precompute the teacher-dependent parts of Algorithm 1 (see
     :class:`TeacherContext`)."""
     teacher_probs = np.asarray(teacher_probs)
     if teacher_probs.ndim != 2:
         raise ShapeError(f"teacher probs must be 2-D, got shape {teacher_probs.shape}")
-    if labeled_check not in ("teacher", "student"):
-        raise ConfigError(
-            f"labeled_check must be 'teacher' or 'student', got {labeled_check!r}"
-        )
     labels = np.asarray(labels, dtype=np.int64)
     train_index = np.asarray(train_index, dtype=np.int64)
     teacher_pred = teacher_probs.argmax(axis=1)
@@ -158,9 +152,8 @@ def teacher_context(
         n = teacher_probs.shape[0]
         labeled_mask = np.zeros(n, dtype=bool)
         labeled_mask[train_index] = True
-        if labeled_check == "teacher":
-            labeled_reliable = np.zeros(n, dtype=bool)
-            labeled_reliable[train_index] = teacher_pred[train_index] == labels[train_index]
+        labeled_reliable = np.zeros(n, dtype=bool)
+        labeled_reliable[train_index] = teacher_pred[train_index] == labels[train_index]
         low_teacher = entropy_threshold_mask(
             uncertainty_score(teacher_probs, score), p, lowest=True
         )
@@ -170,7 +163,6 @@ def teacher_context(
         p=p,
         use_reliability=use_reliability,
         score=score,
-        labeled_check=labeled_check,
         labeled_mask=labeled_mask,
         labeled_reliable=labeled_reliable,
         low_teacher_uncertainty=low_teacher,
@@ -185,7 +177,6 @@ def node_reliability(
     p: float = 40.0,
     use_reliability: bool = True,
     score: str = "entropy",
-    labeled_check: str = "teacher",
     context: Optional[TeacherContext] = None,
 ) -> ReliabilitySets:
     """One update of Algorithm 1.
@@ -195,7 +186,9 @@ def node_reliability(
     teacher_probs / student_probs:
         Softmax outputs ``H(x)`` and ``h_e(x)`` of shape ``(n, k)``.
     labels:
-        Ground-truth labels (only rows in ``train_index`` are consulted).
+        Ground-truth labels (only rows in ``train_index`` are consulted:
+        a labeled node is reliable iff the *teacher* predicts its label —
+        see the module docstring for why not the student).
     train_index:
         Indices of the labeled set ``V_l``.
     p:
@@ -208,16 +201,10 @@ def node_reliability(
         Uncertainty score used for the rank thresholds — ``"entropy"``
         (the paper's), ``"margin"``, or ``"confidence"``
         (see :mod:`repro.core.scores`).
-    labeled_check:
-        Which model's prediction decides a labeled node's reliability:
-        ``"teacher"`` follows §3.1's prose (the default); ``"student"``
-        follows the literal Algorithm 1 line 4 (``h_e(x_i) = y_i``).  The
-        two readings of the paper disagree; both are provided so the
-        discrepancy is executable.
     context:
         Precomputed teacher-side constants from :func:`teacher_context`.
         When given it supersedes ``teacher_probs`` and the
-        ``p``/``use_reliability``/``score``/``labeled_check`` arguments;
+        ``p``/``use_reliability``/``score`` arguments;
         results are identical to passing the raw arguments, just cheaper
         when the same frozen teacher drives many refreshes.
     """
@@ -229,7 +216,6 @@ def node_reliability(
             p=p,
             use_reliability=use_reliability,
             score=score,
-            labeled_check=labeled_check,
         )
     teacher_probs = context.teacher_probs
     student_probs = np.asarray(student_probs)
@@ -244,14 +230,8 @@ def node_reliability(
     if context.use_reliability:
         labeled_mask = context.labeled_mask
 
-        # Labeled nodes: reliable iff the checking model is correct.
-        if context.labeled_check == "teacher":
-            reliable = context.labeled_reliable.copy()
-        else:
-            labels = np.asarray(labels, dtype=np.int64)
-            train_index = np.asarray(train_index, dtype=np.int64)
-            reliable = np.zeros(n, dtype=bool)
-            reliable[train_index] = student_pred[train_index] == labels[train_index]
+        # Labeled nodes: reliable iff the teacher is correct.
+        reliable = context.labeled_reliable.copy()
 
         # Unlabeled nodes: lowest-p% teacher uncertainty ...
         reliable |= context.low_teacher_uncertainty & ~labeled_mask

@@ -5,13 +5,16 @@ nodes and edges absent), then evaluate on those unseen nodes using the
 full graph at inference.  GCN weights are graph-size-independent, so the
 trained models transfer; the question is how much accuracy the missing
 structure costs, and whether RDD's advantage survives the shift.
+
+Every row is scored on the same nodes (the unseen ones), and both RDD
+rows score the α-weighted teacher of Eq. 13 that RDD itself reports.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.ensemble import uniform_softmax_ensemble
+from repro.core.ensemble import EnsembleModel
 from repro.core.rdd import RDDTrainer
 from repro.evaluation.common import (
     ExperimentReport,
@@ -22,7 +25,6 @@ from repro.evaluation.common import (
 )
 from repro.graph.graph import Graph
 from repro.graph.subgraph import make_inductive_split
-from repro.models.base import softmax_rows
 from repro.models.gcn import GCN
 from repro.tensor.functional import accuracy
 from repro.training.seed import make_rng
@@ -49,8 +51,12 @@ def run_inductive(
         gcn_full.predict_logits(graph), graph.labels, split.unseen_nodes
     )
     rdd_full = RDDTrainer(config.rdd_config()).fit(graph, seed=seed)
-    # Ensemble probabilities cover all nodes; restrict to unseen.
-    accuracies["RDD(Ensemble) transductive"] = rdd_full.ensemble_test_accuracy
+    teacher = EnsembleModel.from_logits(
+        [base.predictions for base in rdd_full.base_results], rdd_full.ensemble_weights
+    )
+    accuracies["RDD(Ensemble) transductive"] = accuracy(
+        teacher.probs(), graph.labels, split.unseen_nodes
+    )
 
     # Inductive: train on the observed subgraph only.
     observed = split.observed
@@ -67,10 +73,15 @@ def run_inductive(
         captured.append(model)
         return model
 
-    RDDTrainer(config.rdd_config(), model_factory=factory).fit(observed, seed=seed)
-    # Inference: average the students' full-graph predictions.
-    probs = uniform_softmax_ensemble([softmax_rows(m.predict_logits(graph)) for m in captured])
-    accuracies["RDD(Ensemble) inductive"] = accuracy(probs, graph.labels, split.unseen_nodes)
+    rdd_obs = RDDTrainer(config.rdd_config(), model_factory=factory).fit(observed, seed=seed)
+    # Inference: the students' full-graph logits under the weights the
+    # observed-graph fit gave them.
+    teacher = EnsembleModel.from_logits(
+        [model.predict_logits(graph) for model in captured], rdd_obs.ensemble_weights
+    )
+    accuracies["RDD(Ensemble) inductive"] = accuracy(
+        teacher.probs(), graph.labels, split.unseen_nodes
+    )
     return accuracies
 
 

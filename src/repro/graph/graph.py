@@ -188,12 +188,12 @@ class Graph:
             dst = np.concatenate([dst, loops])
         return src, dst
 
-    def pagerank(self, damping: float = 0.85) -> np.ndarray:
-        """PageRank scores (cached for the default damping factor)."""
+    def pagerank(self) -> np.ndarray:
+        """PageRank scores at the classical damping 0.85 (cached)."""
         from repro.graph.pagerank import pagerank
 
         if self._pagerank is None:
-            self._pagerank = pagerank(self.adjacency, damping=damping)
+            self._pagerank = pagerank(self.adjacency)
         return self._pagerank
 
     # ------------------------------------------------------------------

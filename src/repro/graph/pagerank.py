@@ -8,8 +8,6 @@ uniformly, matching the classical formulation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -21,7 +19,6 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-10,
     max_iter: int = 200,
-    personalization: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """PageRank scores of an (undirected or directed) adjacency matrix.
 
@@ -35,8 +32,8 @@ def pagerank(
         L1 convergence tolerance between successive iterates.
     max_iter:
         Iteration budget; convergence normally needs far fewer.
-    personalization:
-        Optional teleport distribution; uniform when omitted.
+
+    Teleports are uniform over the nodes.
 
     Returns
     -------
@@ -54,14 +51,7 @@ def pagerank(
     inv_degree = np.where(dangling, 0.0, 1.0 / np.maximum(out_degree, 1e-300))
     transition = sp.diags(inv_degree) @ adjacency  # row-stochastic except dangling rows
 
-    if personalization is None:
-        teleport = np.full(n, 1.0 / n)
-    else:
-        teleport = np.asarray(personalization, dtype=np.float64)
-        if teleport.shape != (n,) or teleport.sum() <= 0:
-            raise GraphError("personalization must be a nonnegative length-n vector with positive sum")
-        teleport = teleport / teleport.sum()
-
+    teleport = np.full(n, 1.0 / n)
     rank = teleport.copy()
     for _ in range(max_iter):
         dangling_mass = rank[dangling].sum()

@@ -59,11 +59,3 @@ def summarize(graph) -> GraphStats:
         edge_homophily=edge_homophily(graph.adjacency, graph.labels),
         label_rate=graph.label_rate,
     )
-
-
-def largest_connected_component_size(adjacency: sp.spmatrix) -> int:
-    """Number of nodes in the largest connected component."""
-    num_components, assignment = sp.csgraph.connected_components(adjacency, directed=False)
-    if num_components == 1:
-        return adjacency.shape[0]
-    return int(np.bincount(assignment).max())

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
+from repro.sampling.neighbor import unique_ids
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray, name: str = "") -> Tuple[G
     inside ``nodes``; nodes outside are dropped from the splits.  Returns
     ``(subgraph, nodes)`` with ``nodes`` sorted (the local→global map).
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = unique_ids(np.asarray(nodes, dtype=np.int64))
     if len(nodes) < 2:
         raise GraphError("induced subgraph needs at least two nodes")
     if nodes.min() < 0 or nodes.max() >= graph.num_nodes:

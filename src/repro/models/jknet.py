@@ -3,7 +3,7 @@
 All intermediate layer representations "jump" to the output, where they
 are concatenated and projected to class logits.  The paper chose the
 concatenation aggregator because it performed best on the citation
-networks; max-pool aggregation is also provided.
+networks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph.graph import Graph
@@ -24,14 +23,7 @@ from repro.tensor.tensor import Tensor
 
 
 class JKNet(GraphModel):
-    """GCN stack whose per-layer outputs are aggregated at the end.
-
-    Parameters
-    ----------
-    aggregation:
-        ``"concat"`` (paper default) or ``"max"`` (element-wise maximum;
-        requires uniform hidden widths).
-    """
+    """GCN stack whose per-layer outputs are concatenated at the end."""
 
     def __init__(
         self,
@@ -41,13 +33,10 @@ class JKNet(GraphModel):
         hidden: Sequence[int] | int | None = None,
         num_layers: int = 2,
         dropout: float = 0.5,
-        aggregation: str = "concat",
     ):
         super().__init__()
-        if aggregation not in ("concat", "max"):
-            raise ConfigError(f"aggregation must be 'concat' or 'max', got {aggregation!r}")
         if hidden is None:
-            widths = shrinking_widths(num_layers) if aggregation == "concat" else [16] * (num_layers - 1)
+            widths = shrinking_widths(num_layers)
         elif isinstance(hidden, int):
             widths = [hidden] * (num_layers - 1)
         else:
@@ -56,16 +45,12 @@ class JKNet(GraphModel):
             raise ConfigError(
                 f"{num_layers}-layer JKNet needs {num_layers - 1} hidden widths, got {len(widths)}"
             )
-        if aggregation == "max" and len(set(widths)) > 1:
-            raise ConfigError("max aggregation requires uniform hidden widths")
 
         dims = [num_features] + widths
         self.layers = ModuleList(
             GraphConvolution(dims[i], dims[i + 1], rng) for i in range(len(widths))
         )
-        self.aggregation = aggregation
-        total = sum(widths) if aggregation == "concat" else widths[0]
-        self.classifier = Linear(total, num_classes, rng)
+        self.classifier = Linear(sum(widths), num_classes, rng)
         self.dropout = Dropout(dropout, rng)
 
     def forward(self, graph: Graph) -> Tensor:
@@ -75,17 +60,5 @@ class JKNet(GraphModel):
         for layer in self.layers:
             h = ops.relu(layer(adjacency, self.dropout(h)))
             jumps.append(h)
-        if self.aggregation == "concat":
-            combined = ops.concat(jumps, axis=1) if len(jumps) > 1 else jumps[0]
-        else:
-            combined = jumps[0]
-            for jump in jumps[1:]:
-                stacked = ops.concat(
-                    [ops.reshape(combined, (combined.shape[0], 1, combined.shape[1])),
-                     ops.reshape(jump, (jump.shape[0], 1, jump.shape[1]))],
-                    axis=1,
-                )
-                combined = ops.reshape(
-                    ops.max_along(stacked, axis=1), (combined.shape[0], combined.shape[1])
-                )
+        combined = ops.concat(jumps, axis=1) if len(jumps) > 1 else jumps[0]
         return self.classifier(self.dropout(combined))

@@ -18,18 +18,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def glorot_normal(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot (Xavier) normal init for a ``(fan_in, fan_out)`` weight."""
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
-def he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """He uniform init, appropriate for ReLU stacks."""
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def zeros(shape) -> np.ndarray:
     """All-zeros array (bias init) in the active compute dtype."""
     return np.zeros(shape, dtype=get_default_dtype())

@@ -56,15 +56,11 @@ class Module:
         for child_name, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
 
-    def zero_grad(self, set_to_none: bool = True) -> None:
-        """Clear gradients on every parameter.
-
-        With ``set_to_none`` (the default) the grad arrays are dropped —
-        the next backward allocates (or arena-recycles) fresh buffers —
-        instead of being zero-filled in place.
-        """
+    def zero_grad(self) -> None:
+        """Drop every parameter's gradient: the next backward allocates
+        (or arena-recycles) fresh buffers instead of zero-filling these."""
         for param in self.parameters():
-            param.zero_grad(set_to_none=set_to_none)
+            param.zero_grad()
 
     def num_parameters(self) -> int:
         """Total number of scalar trainable values."""

@@ -1,7 +1,7 @@
-"""Gradient-based optimizers: SGD (with momentum) and Adam.
+"""The gradient-based optimizer: Adam.
 
-Both support decoupled L2 weight decay, which is how the paper's
-``l2 regularization factor`` (5e-4 on the citation networks) is applied.
+It supports L2 weight decay, which is how the paper's ``l2
+regularization factor`` (5e-4 on the citation networks) is applied.
 
 The update rules are written against per-parameter scratch buffers so a
 step allocates nothing after the first call.  Every in-place expression
@@ -30,78 +30,7 @@ def _check_rates(lr: float, weight_decay: float) -> None:
         raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list."""
-
-    def __init__(self, parameters: Iterable[Parameter]):
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def _buffers(self, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
-        """Two reusable work arrays shaped like ``param`` (lazily built)."""
-        buffers = self._scratch.get(id(param))
-        if buffers is None:
-            buffers = (np.empty_like(param.data), np.empty_like(param.data))
-            self._scratch[id(param)] = buffers
-        return buffers
-
-    def zero_grad(self, set_to_none: bool = True) -> None:
-        """Clear gradients on all managed parameters.
-
-        ``set_to_none=True`` (default) drops the grad arrays rather than
-        zero-filling them; backward then writes into recycled arena
-        buffers, so no time is spent zeroing memory that is about to be
-        overwritten.
-        """
-        for param in self.parameters:
-            param.zero_grad(set_to_none=set_to_none)
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters)
-        _check_rates(lr, weight_decay)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            update, _ = self._buffers(param)
-            if self.weight_decay:
-                # grad + wd*p, written as wd*p + grad (addition commutes bitwise).
-                np.multiply(param.data, self.weight_decay, out=update)
-                update += grad
-                grad = update
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                if velocity is None:
-                    velocity = self._velocity[id(param)] = np.zeros_like(param.data)
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            np.multiply(grad, self.lr, out=update)
-            param.data -= update
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba, 2015) with L2 weight decay.
 
     This matches the paper's training setup: Adam with learning rate 0.01
@@ -116,15 +45,32 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
         _check_rates(lr, weight_decay)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
+        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._first_moment: Dict[int, np.ndarray] = {}
         self._second_moment: Dict[int, np.ndarray] = {}
+
+    def _buffers(self, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
+        """Two reusable work arrays shaped like ``param`` (lazily built)."""
+        buffers = self._scratch.get(id(param))
+        if buffers is None:
+            buffers = (np.empty_like(param.data), np.empty_like(param.data))
+            self._scratch[id(param)] = buffers
+        return buffers
+
+    def zero_grad(self) -> None:
+        """Drop the gradients of all managed parameters (see
+        :meth:`repro.tensor.tensor.Tensor.zero_grad`)."""
+        for param in self.parameters:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1

@@ -12,8 +12,8 @@ The subsystem that turns an RDD run from a black box into a timeline::
 Everything lands in ``<obs_dir>/events.jsonl`` — thread- and
 process-aware (forked ``parallel_map`` workers append to the same log) —
 and ``repro report <obs_dir>`` renders the end-of-run summary.  The
-:class:`MetricRegistry` here also backs the serving stack's metrics
-(:class:`repro.serving.metrics.ServingMetrics` subclasses it), and
+:class:`MetricRegistry` here is also the serving stack's registry (the
+batcher, engine, cache and HTTP server record into one), and
 :func:`prometheus_text` is the one exporter behind both
 ``GET /metrics?format=prometheus`` and the report CLI.
 

@@ -54,7 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
-from repro.sampling.neighbor import NeighborSampler, check_node_ids, raw_csr
+from repro.sampling.neighbor import NeighborSampler, check_node_ids, raw_csr, unique_ids
 
 
 @dataclass
@@ -196,7 +196,7 @@ class BlockBuilder:
     def build(self, seeds: np.ndarray) -> MiniBatch:
         """Sample blocks for ``seeds``; valid until the next ``build``."""
         seeds = check_node_ids(seeds, self.sampler.num_nodes, "seeds")
-        current = np.unique(seeds)
+        current = unique_ids(seeds)
         blocks: List[Block] = []
         for layer, fanout in enumerate(self.fanouts):
             blocks.append(self._build_layer(layer, current, fanout))

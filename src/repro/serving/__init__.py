@@ -25,7 +25,8 @@ replica workers sharing one shared-memory logits table
     PredictionServer(frontend=frontend, port=8080).serve_forever()
 
 Either way every ``/predict`` — a node-id list or an
-:class:`InductiveQuery` — is admission-controlled and batched.
+:class:`InductiveQuery` — is admission-controlled and batched, and
+recorded in one :class:`~repro.obs.metrics.MetricRegistry`.
 """
 
 from repro.serving.artifacts import (
@@ -37,7 +38,6 @@ from repro.serving.artifacts import (
     graph_fingerprint,
     load_artifact,
     model_kinds,
-    register_model_kind,
 )
 from repro.serving.batching import BatcherClosed, MicroBatcher, Overloaded
 from repro.serving.cache import TieredCache
@@ -45,13 +45,6 @@ from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 from repro.serving.frontend import ReplicaFrontend
 from repro.serving.refresh import BackgroundRefresher, RowRefresher
 from repro.serving.replica import ReplicaError, SharedLogitsTable
-from repro.serving.metrics import (
-    MetricRegistry,
-    ServingMetrics,
-    WindowHistogram,
-    merge_counter_snapshots,
-    prometheus_text,
-)
 from repro.serving.server import PredictionServer
 
 __all__ = [
@@ -60,7 +53,6 @@ __all__ = [
     "BatcherClosed",
     "InductiveQuery",
     "RowRefresher",
-    "MetricRegistry",
     "MicroBatcher",
     "ModelArtifact",
     "ModelSpec",
@@ -70,16 +62,11 @@ __all__ = [
     "ReplicaError",
     "ReplicaFrontend",
     "ServingError",
-    "ServingMetrics",
     "SharedLogitsTable",
     "TieredCache",
-    "WindowHistogram",
-    "merge_counter_snapshots",
     "export_ensemble_artifact",
     "export_model_artifact",
     "graph_fingerprint",
     "load_artifact",
     "model_kinds",
-    "prometheus_text",
-    "register_model_kind",
 ]

@@ -6,8 +6,8 @@ module, the identity of the graph the weights were trained against, and
 the propagation constants the forward pass depends on.  An **artifact**
 bundles all of that in one file:
 
-* the constructor spec (:class:`ModelSpec`) naming a registered model
-  kind plus its hyperparameter options, so the exact module can be
+* the constructor spec (:class:`ModelSpec`) naming a model kind
+  (:func:`model_kinds`) plus its hyperparameter options, so the exact module can be
   rebuilt on load;
 * the ``Module.state_dict()`` (or, for RDD teachers, the full
   ``EnsembleModel.state()`` with per-member α-weights, optionally plus
@@ -53,7 +53,7 @@ class ArtifactError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# Model-kind registry: spec name -> constructor
+# Model kinds: spec name -> constructor
 # ----------------------------------------------------------------------
 def _builtin_kinds() -> Dict[str, Callable]:
     # Imported lazily so the artifact module doesn't pull the whole model
@@ -65,27 +65,14 @@ def _builtin_kinds() -> Dict[str, Callable]:
     return {"gcn": GCN, "mlp": MLP, "sgc": SGC}
 
 
-_MODEL_KINDS: Dict[str, Callable] = {}
-
-
 def model_kinds() -> List[str]:
     """Names accepted as :attr:`ModelSpec.kind`."""
-    if not _MODEL_KINDS:
-        _MODEL_KINDS.update(_builtin_kinds())
-    return sorted(_MODEL_KINDS)
-
-
-def register_model_kind(name: str, factory: Callable) -> None:
-    """Register ``factory(num_features, num_classes, rng, **options)``
-    under ``name`` so artifacts exported with that kind can be rebuilt."""
-    model_kinds()  # ensure builtins are present before overlaying
-    _MODEL_KINDS[name.lower()] = factory
+    return sorted(_builtin_kinds())
 
 
 def _resolve_kind(name: str) -> Callable:
-    model_kinds()
     try:
-        return _MODEL_KINDS[name.lower()]
+        return _builtin_kinds()[name.lower()]
     except KeyError:
         raise ArtifactError(
             f"unknown model kind {name!r}; registered: {', '.join(model_kinds())}"
@@ -94,7 +81,7 @@ def _resolve_kind(name: str) -> Callable:
 
 @dataclasses.dataclass(frozen=True)
 class ModelSpec:
-    """How to rebuild a served module: a registered kind + constructor options.
+    """How to rebuild a served module: a model kind + constructor options.
 
     ``options`` are the keyword arguments beyond the data-derived ones —
     the constructor is always called as

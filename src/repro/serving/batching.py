@@ -11,9 +11,10 @@ most ``max_wait_s``), and hands the whole batch to its **executor** —
 the callable that answers a batch.  There is one dispatcher per
 executor:
 
-* :class:`MicroBatcher` runs ``batch_fn`` in-thread (for the prediction
-  engine, :meth:`~repro.serving.engine.PredictionEngine.answer_batch`,
-  which pays one shared logits-table lookup for the batch's node lists);
+* :class:`MicroBatcher` runs ``batch_fn`` on one dispatcher thread (for
+  the prediction engine,
+  :meth:`~repro.serving.engine.PredictionEngine.answer_batch`, which pays
+  one shared logits-table lookup for the batch's node lists);
 * :class:`~repro.serving.frontend.ReplicaFrontend` runs one IPC round
   trip per batch to its replica process.
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.serving.metrics import ServingMetrics
+from repro.obs.metrics import MetricRegistry
 from repro.testing.faults import fault_point
 
 # An executor answers one batch of payloads with one ``(ok, value)``
@@ -135,9 +136,10 @@ class BatchingCore:
         so accepted requests keep a bounded p99 while the excess is
         rejected fast.
     metrics:
-        :class:`ServingMetrics` receiving request counts, per-request
-        latency, batch sizes, shed and error counts (a fresh registry
-        when ``None``).
+        :class:`~repro.obs.metrics.MetricRegistry` receiving request
+        counts, per-request latency (``latency_ms``), batch sizes
+        (``batch_size``, ``batches_total``), shed and error counts (a
+        fresh registry when ``None``).
     """
 
     def __init__(
@@ -146,7 +148,7 @@ class BatchingCore:
         max_batch_size: int,
         max_wait_s: float,
         max_queue: int,
-        metrics: Optional[ServingMetrics],
+        metrics: Optional[MetricRegistry],
     ):
         if max_batch_size < 1:
             raise ReproError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -157,7 +159,7 @@ class BatchingCore:
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
         self.max_queue = int(max_queue)
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = metrics if metrics is not None else MetricRegistry()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.max_queue)
         self._lock = threading.Lock()
         self._closed = False
@@ -332,7 +334,8 @@ class BatchingCore:
                 return
 
     def _run_batch(self, execute: Executor, batch: List[_Pending]) -> None:
-        self.metrics.observe_batch_size(len(batch))
+        self.metrics.observe("batch_size", len(batch))
+        self.metrics.inc("batches_total")
         live: List[_Pending] = []
         for pending in batch:
             try:
@@ -352,7 +355,7 @@ class BatchingCore:
         now = time.monotonic()
         for pending, (ok, value) in zip(live, results):
             if ok:
-                self.metrics.observe_latency(now - pending.submitted)
+                self.metrics.observe("latency_ms", (now - pending.submitted) * 1000.0)
                 pending.future.set_result(value)
             else:
                 self._fail(pending, value)
@@ -363,7 +366,9 @@ class BatchingCore:
 
 
 class MicroBatcher(BatchingCore):
-    """The serving core over in-thread ``batch_fn`` executors.
+    """The serving core over one in-thread ``batch_fn`` executor.
+
+    One dispatcher thread drains the queue, which maximizes coalescing.
 
     Parameters
     ----------
@@ -372,14 +377,10 @@ class MicroBatcher(BatchingCore):
         call; must return exactly one result per payload, in order.  A
         failing batch is re-run request by request (:func:`run_isolated`),
         so one bad payload fails only its own future.
-    workers:
-        Dispatcher threads draining the queue, each running ``batch_fn``.
-        One maximizes coalescing; more help when ``batch_fn`` releases
-        the GIL.
     max_batch_size / max_wait_s / max_queue / metrics:
         The core's knobs (see :class:`BatchingCore`).  ``max_wait_s``
-        caps each worker's collect window, which otherwise lasts as long
-        as that worker's previous ``batch_fn`` call.
+        caps the collect window, which otherwise lasts as long as the
+        previous ``batch_fn`` call.
     """
 
     def __init__(
@@ -388,15 +389,12 @@ class MicroBatcher(BatchingCore):
         *,
         max_batch_size: int = 32,
         max_wait_s: float = 0.002,
-        workers: int = 1,
         max_queue: int = 1024,
-        metrics: Optional[ServingMetrics] = None,
+        metrics: Optional[MetricRegistry] = None,
     ):
-        if workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
         super().__init__(
             max_batch_size=max_batch_size, max_wait_s=max_wait_s,
             max_queue=max_queue, metrics=metrics,
         )
         self.batch_fn = batch_fn
-        self._start([functools.partial(run_isolated, batch_fn)] * workers, "microbatcher")
+        self._start([functools.partial(run_isolated, batch_fn)], "microbatcher")

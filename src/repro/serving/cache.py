@@ -52,7 +52,7 @@ class TieredCache:
     cold_size:
         Entries in the cold LRU tier.  ``cold_size=0`` disables the
         cache entirely: :meth:`get` always misses, :meth:`put` is a
-        no-op — the switch the engine uses for stateless deployments.
+        no-op.
     promote_after:
         Cold-tier hits (including the insert-time miss-then-put, counted
         as zero) required before an entry is promoted.  ``1`` promotes

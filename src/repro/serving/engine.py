@@ -64,14 +64,17 @@ from repro.errors import ReproError
 from repro.graph.delta import GraphDelta, apply_delta, k_hop_closures
 from repro.graph.graph import Graph
 from repro.graph.subgraph import induced_subgraph
-from repro.models.base import softmax_rows
 from repro.obs.metrics import MetricRegistry
 from repro.sampling import layerwise_neighborhood
+from repro.sampling.neighbor import unique_ids
 from repro.serving.artifacts import ModelArtifact, graph_fingerprint, load_artifact
 from repro.serving.cache import TieredCache
 from repro.serving.refresh import RowRefresher
 
 NodeIds = Sequence[int]
+
+# Neighbors sampled per hop around an inductive query's attachment points.
+INDUCTIVE_FANOUT = 10
 
 
 class ServingError(ReproError):
@@ -103,32 +106,18 @@ class PredictionEngine:
         training graph (checked via the stored fingerprint unless
         ``verify_graph=False``); it is cast to the artifact's compute
         dtype and seeded with the artifact's cached ``Â``.
-    cache_logits:
-        Keep the full logits table after the first forward (the
-        transductive fast path).  Disable for benchmark/stateless modes
-        where every batch should pay its own forward.
-    fanout:
-        Neighbors sampled per hop when building inductive query
-        subgraphs.
-    num_hops:
-        Receptive-field depth of the query subgraph; defaults to the
-        model's layer count (2 when it cannot be inferred).
-    inductive_cache_size:
-        Entries kept in the inductive cache's cold LRU tier (0 disables
-        memoization entirely, hot tier included).
-    hot_cache_size:
-        Entries in the frequency-promoted hot tier sitting above the
-        LRU; queries recurring ``promote_after=2`` times move up and
-        are shielded from cold-scan eviction.
-    seed:
-        Base seed for the deterministic per-query neighbor sampling.
     streaming:
         Accept :meth:`apply_delta` and maintain the logits table
-        incrementally (single-model GCN artifacts with
-        ``cache_logits=True`` only).  The table is then computed by the
-        row-pure streaming forward, which can differ from the static
-        table in the last ulp — compare streaming engines with streaming
-        engines.
+        incrementally (single-model GCN artifacts only).  The table is
+        then computed by the row-pure streaming forward, which can differ
+        from the static table in the last ulp — compare streaming engines
+        with streaming engines.
+
+    The logits table is kept after its first computation.  Inductive
+    query subgraphs sample :data:`INDUCTIVE_FANOUT` neighbors per hop over
+    as many hops as the model has layers (2 when the artifact does not
+    say), and their answers are memoized in a
+    :class:`~repro.serving.cache.TieredCache` of its default size.
     """
 
     def __init__(
@@ -137,12 +126,6 @@ class PredictionEngine:
         graph: Graph,
         *,
         verify_graph: bool = True,
-        cache_logits: bool = True,
-        fanout: int = 10,
-        num_hops: Optional[int] = None,
-        inductive_cache_size: int = 128,
-        hot_cache_size: int = 32,
-        seed: int = 0,
         streaming: bool = False,
     ):
         if not isinstance(artifact, ModelArtifact):
@@ -162,19 +145,9 @@ class PredictionEngine:
             # own adjacency, not inherit the training graph's.
             graph._normalized = artifact.normalized_adjacency(dtype=artifact.dtype)
         self.graph = graph
-        self.cache_logits = cache_logits
-        self.fanout = int(fanout)
-        self.seed = int(seed)
         self._table: Optional[np.ndarray] = None
         self.metrics = MetricRegistry()
-        # 0 cold entries disables the cache outright (hot tier included):
-        # the stateless-deployment contract of inductive_cache_size=0.
-        self._inductive_cache = TieredCache(
-            hot_size=int(hot_cache_size) if int(inductive_cache_size) > 0 else 0,
-            cold_size=int(inductive_cache_size),
-            metrics=self.metrics,
-            prefix="inductive_cache",
-        )
+        self._inductive_cache = TieredCache(metrics=self.metrics, prefix="inductive_cache")
 
         if artifact.is_ensemble:
             self._model = None
@@ -184,7 +157,7 @@ class PredictionEngine:
             self._model = artifact.build_model(graph)
             self._ensemble = None
             self._member_models = None
-        self._num_hops = int(num_hops) if num_hops is not None else self._infer_hops()
+        self._num_hops = self._infer_hops()
 
         self.streaming = bool(streaming)
         self._version = 0
@@ -201,9 +174,6 @@ class PredictionEngine:
                     f"streaming mode needs a single-model GCN artifact, "
                     f"got {self.model_kind!r}"
                 )
-            if not cache_logits:
-                raise ServingError("streaming mode maintains the logits table; "
-                                   "it requires cache_logits=True")
             self._refresher = RowRefresher(self._model, artifact.dtype)
             self._stale = np.zeros(graph.num_nodes, dtype=bool)
             self._base_adjacency = graph.adjacency
@@ -273,7 +243,7 @@ class PredictionEngine:
                 updated = apply_delta(self.graph, delta)
                 self.graph = updated
                 self._version += 1
-                self._pending_dirty = np.union1d(self._pending_dirty, dirty)
+                self._pending_dirty = unique_ids(np.concatenate([self._pending_dirty, dirty]))
                 self._closures = k_hop_closures(
                     [self._base_adjacency, updated.adjacency],
                     self._pending_dirty,
@@ -351,7 +321,6 @@ class PredictionEngine:
             )
         with self._lock:
             self._table = table
-            self.cache_logits = True
 
     def logits_table(self) -> np.ndarray:
         """Per-node logits over the whole serving graph (cached)."""
@@ -359,15 +328,12 @@ class PredictionEngine:
             with self._lock:
                 self._ensure_fresh(None)
                 return self._table
-        if self._table is not None:
-            return self._table
-        if self._ensemble is not None:
-            table = self._ensemble.embeddings()
-        else:
-            table = self._model.predict_logits(self.graph)
-        if self.cache_logits:
-            self._table = table
-        return table
+        if self._table is None:
+            if self._ensemble is not None:
+                self._table = self._ensemble.embeddings()
+            else:
+                self._table = self._model.predict_logits(self.graph)
+        return self._table
 
     def _check_nodes(self, node_ids: NodeIds) -> np.ndarray:
         try:
@@ -444,9 +410,6 @@ class PredictionEngine:
             for p in payloads
         ]
 
-    def predict_proba_nodes(self, node_ids: NodeIds) -> np.ndarray:
-        return softmax_rows(self.predict_nodes(node_ids))
-
     # ------------------------------------------------------------------
     # Inductive path
     # ------------------------------------------------------------------
@@ -454,9 +417,9 @@ class PredictionEngine:
         """Logits for one unseen node attached to known nodes.
 
         ``features`` is the query node's feature vector; ``neighbor_ids``
-        are the known nodes it links to.  Deterministic for a given
-        engine seed: the neighbor sampling RNG is derived from the query
-        content, so the same query always sees the same subgraph.
+        are the known nodes it links to.  Deterministic: the neighbor
+        sampling RNG is derived from the query content, so the same
+        query always sees the same subgraph.
         """
         with self._lock:
             graph = self.graph
@@ -468,7 +431,7 @@ class PredictionEngine:
                 raise ServingError(
                     f"features must have shape ({graph.num_features},), got {features.shape}"
                 )
-            neighbors = np.unique(self._check_nodes(neighbor_ids))
+            neighbors = unique_ids(self._check_nodes(neighbor_ids))
 
             key = self._inductive_key(features, neighbors)
             cached = self._inductive_cache.get(key)
@@ -494,9 +457,6 @@ class PredictionEngine:
         context = self._sample_context(graph, neighbors, key)
         subgraph, mapping = induced_subgraph(graph, context, name="query")
         query_graph = _attach_query_node(subgraph, mapping, neighbors, features)
-        # Cast so the query forward runs at the artifact's dtype end to end
-        # (the fresh subgraph would otherwise normalize Â at float64).
-        query_graph = query_graph.astype(self.artifact.dtype)
         if self._ensemble is not None:
             if self._member_models is None:
                 self._member_models = self.artifact.member_models(graph)
@@ -510,21 +470,21 @@ class PredictionEngine:
     def _sample_context(self, graph: Graph, neighbors: np.ndarray, key: bytes) -> np.ndarray:
         """Layer-wise sampled neighborhood of the attachment points.
 
-        Seeded from ``(engine seed, query digest)`` so the subgraph — and
-        therefore the prediction — is a pure function of the query (the
-        digest already folds in the graph version, so post-delta queries
+        Seeded from ``(0, query digest)`` so the subgraph — and therefore
+        the prediction — is a pure function of the query (the digest
+        already folds in the graph version, so post-delta queries
         resample against the updated structure).
         """
-        rng = np.random.default_rng((self.seed, int.from_bytes(key[:8], "big")))
+        rng = np.random.default_rng((0, int.from_bytes(key[:8], "big")))
         context = layerwise_neighborhood(
-            graph.adjacency, neighbors, self.fanout, self._num_hops, rng
+            graph.adjacency, neighbors, INDUCTIVE_FANOUT, self._num_hops, rng
         )
         if context.size < 2:
             # A single isolated attachment point: induced_subgraph needs
             # two nodes, so pull in a deterministic partner (mirroring
             # its own isolated-node patch rule).
             partner = (int(context[0]) + 1) % graph.num_nodes
-            context = np.union1d(context, [partner])
+            context = unique_ids(np.append(context, partner))
         return context
 
 

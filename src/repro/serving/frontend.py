@@ -32,7 +32,8 @@ are bitwise-equal to a single-process engine's — the property the
 replica parity tests check.
 
 Streaming engines are out of scope here: a delta-mutated table cannot
-live in a read-only shared segment.  Use a single-process
+live in a read-only shared segment, so every engine of the tier is
+static.  Use a single-process
 :class:`~repro.serving.engine.PredictionEngine` with
 ``streaming=True`` for that deployment shape.
 """
@@ -50,8 +51,8 @@ from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.serving.artifacts import ModelArtifact
 from repro.serving.batching import BatcherClosed, BatchingCore
-from repro.serving.engine import PredictionEngine, ServingError
-from repro.serving.metrics import ServingMetrics
+from repro.obs.metrics import MetricRegistry
+from repro.serving.engine import PredictionEngine
 from repro.serving.replica import ReplicaError, SharedLogitsTable, replica_main
 
 
@@ -83,9 +84,6 @@ class ReplicaFrontend(BatchingCore):
         Worker processes.  Each holds a full engine but shares the
         transductive table, so marginal memory per replica is the model
         weights, not the table.
-    engine_kwargs:
-        Forwarded to every engine construction (parent and replicas);
-        ``streaming=True`` is rejected — see the module docstring.
     max_queue / max_batch_size / max_wait_s / metrics:
         The core's knobs (see
         :class:`~repro.serving.batching.BatchingCore`); ``max_queue`` is
@@ -105,13 +103,12 @@ class ReplicaFrontend(BatchingCore):
         graph: Graph,
         *,
         replicas: int = 2,
-        engine_kwargs: Optional[dict] = None,
         max_queue: int = 1024,
         max_batch_size: int = 32,
         max_wait_s: float = 0.002,
         reply_timeout_s: float = 30.0,
         spawn_timeout_s: float = 30.0,
-        metrics: Optional[ServingMetrics] = None,
+        metrics: Optional[MetricRegistry] = None,
     ):
         if replicas < 1:
             raise ReproError(f"replicas must be >= 1, got {replicas}")
@@ -119,19 +116,13 @@ class ReplicaFrontend(BatchingCore):
             max_batch_size=max_batch_size, max_wait_s=max_wait_s,
             max_queue=max_queue, metrics=metrics,
         )
-        self._engine_kwargs = dict(engine_kwargs or {})
-        if self._engine_kwargs.get("streaming"):
-            raise ServingError(
-                "the replica tier serves a static shared table; "
-                "streaming engines must run single-process"
-            )
         self.reply_timeout_s = float(reply_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
         self.artifact_version = 0
 
         # Parent engine: computes the table once, then serves as the
         # metadata source for /healthz (model kind, node/class counts).
-        self._engine = PredictionEngine(artifact, graph, **self._engine_kwargs)
+        self._engine = PredictionEngine(artifact, graph)
         self._shared = SharedLogitsTable.create(self._engine.logits_table())
         # The parent, too, serves from the shared copy — its private
         # table is dropped, leaving one physical table for the machine.
@@ -215,7 +206,7 @@ class ReplicaFrontend(BatchingCore):
         :meth:`ping`'s per-replica ``artifact_version``).
         """
         artifact_path = str(artifact_path)
-        fresh_engine = PredictionEngine(artifact_path, self._engine.graph, **self._engine_kwargs)
+        fresh_engine = PredictionEngine(artifact_path, self._engine.graph)
         fresh_shared = SharedLogitsTable.create(fresh_engine.logits_table())
         fresh_engine.install_logits_table(fresh_shared.table)
 
@@ -285,7 +276,6 @@ class ReplicaFrontend(BatchingCore):
                 index,
                 self._engine.artifact,
                 self._engine.graph,
-                self._engine_kwargs,
                 self._shared.descriptor,
                 request_queue,
                 response_queue,

@@ -40,7 +40,7 @@ from __future__ import annotations
 import signal
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -137,7 +137,6 @@ def replica_main(
     index: int,
     artifact,
     graph,
-    engine_kwargs: Optional[dict],
     table_descriptor: Tuple[str, Tuple[int, ...], str],
     request_queue,
     response_queue,
@@ -168,7 +167,7 @@ def replica_main(
         pass
     shared = None
     try:
-        engine = PredictionEngine(artifact, graph, **(engine_kwargs or {}))
+        engine = PredictionEngine(artifact, graph)
         shared = SharedLogitsTable.attach(*table_descriptor)
         engine.install_logits_table(shared.table)
     except Exception as error:  # fail fast: the frontend awaits this handshake
@@ -193,7 +192,7 @@ def replica_main(
         if op == "reload":
             _, path, descriptor = message
             try:
-                fresh_engine = PredictionEngine(path, engine.graph, **(engine_kwargs or {}))
+                fresh_engine = PredictionEngine(path, engine.graph)
                 fresh_shared = SharedLogitsTable.attach(*descriptor)
                 fresh_engine.install_logits_table(fresh_shared.table)
             except Exception as error:

@@ -60,10 +60,10 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.models.base import softmax_rows
+from repro.obs.metrics import MetricRegistry, prometheus_text
 from repro.serving.batching import BatchingCore, MicroBatcher, Overloaded
 from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 from repro.serving.frontend import ReplicaFrontend
-from repro.serving.metrics import ServingMetrics, prometheus_text
 
 # JSON numbers as ``json.loads`` returns them (``bool`` is its own type).
 _NUMBER_TYPES = frozenset({int, float})
@@ -134,7 +134,7 @@ class PredictionServer:
         max_wait_s: float = 0.002,
         max_queue: int = 1024,
         request_timeout_s: float = 30.0,
-        metrics: Optional[ServingMetrics] = None,
+        metrics: Optional[MetricRegistry] = None,
     ):
         if (engine is None) == (frontend is None):
             raise ReproError("pass exactly one of engine= and frontend=")
@@ -144,7 +144,7 @@ class PredictionServer:
         self.frontend = frontend
         self.request_timeout_s = float(request_timeout_s)
         if metrics is None:
-            metrics = frontend.metrics if frontend is not None else ServingMetrics()
+            metrics = frontend.metrics if frontend is not None else MetricRegistry()
         self.metrics = metrics
         # The serving core every /predict goes through.
         self.batcher: BatchingCore = frontend if frontend is not None else MicroBatcher(

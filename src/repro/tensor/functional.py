@@ -136,17 +136,6 @@ def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     return -(probs * np.log(clipped)).sum(axis=axis)
 
 
-def l2_penalty(parameters) -> Tensor:
-    """Sum of squared entries over an iterable of parameter tensors."""
-    total: Optional[Tensor] = None
-    for param in parameters:
-        term = ops.sum(ops.mul(param, param))
-        total = term if total is None else ops.add(total, term)
-    if total is None:
-        return Tensor(0.0)
-    return total
-
-
 def accuracy(predictions: np.ndarray, labels: np.ndarray, index: Optional[np.ndarray] = None) -> float:
     """Fraction of correct argmax predictions, optionally over ``index``."""
     predictions = np.asarray(predictions)

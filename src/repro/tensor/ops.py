@@ -32,7 +32,6 @@ __all__ = [
     "transpose",
     "sum",
     "mean",
-    "max_along",
     "relu",
     "leaky_relu",
     "elu",
@@ -260,23 +259,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
         a._accumulate(np.broadcast_to(g, a.shape) / count)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def max_along(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Maximum along ``axis``; the gradient flows to the (first) argmax."""
-    a = as_tensor(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-    mask = a.data == a.data.max(axis=axis, keepdims=True)
-    # Split ties evenly so the gradient check stays symmetric.
-    mask = mask / mask.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        g = grad if keepdims else np.expand_dims(grad, axis=axis)
-        a._accumulate(mask * g)
 
     return Tensor._make(out_data, (a,), backward)
 

@@ -308,19 +308,10 @@ class Tensor:
         else:
             np.add(self.grad, grad, out=self.grad)
 
-    def zero_grad(self, set_to_none: bool = True) -> None:
-        """Clear the accumulated gradient.
-
-        With ``set_to_none`` (the default, and the only behavior this
-        engine has ever had) the gradient reference is dropped, so
-        untouched buffers are never zero-filled; ``set_to_none=False``
-        zeroes the existing buffer in place instead (kept for API parity
-        with torch-style optimizers).
-        """
-        if set_to_none:
-            self.grad = None
-        elif self.grad is not None:
-            self.grad.fill(0.0)
+    def zero_grad(self) -> None:
+        """Clear the accumulated gradient by dropping its reference, so
+        untouched buffers are never zero-filled."""
+        self.grad = None
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded tape.
@@ -496,8 +487,8 @@ class GradArena:
     buffers handed out during one step are reclaimed when the next
     :meth:`record` scope opens and reused (keyed by shape/dtype), so
     steady-state gradient accumulation allocates nothing.  Combined with
-    ``zero_grad(set_to_none=True)`` semantics (the engine's default) no
-    buffer is ever redundantly zero-filled.  :meth:`backward` is
+    ``zero_grad`` dropping the gradient references, no buffer is ever
+    redundantly zero-filled.  :meth:`backward` is
     ``Tensor.backward`` with that pool attached, so gradients are
     bitwise identical to it.
 

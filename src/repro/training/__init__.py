@@ -6,7 +6,7 @@ from repro.training.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.training.metrics import confusion_matrix, macro_f1, split_accuracies
+from repro.training.metrics import confusion_matrix, macro_f1
 from repro.training.parallel import TaskTimeout, parallel_map, reset_fallback_warnings
 from repro.training.records import EnsembleResult, TrainResult, results_bitwise_equal
 from repro.training.seed import make_rng, spawn_rngs

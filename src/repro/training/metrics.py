@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.graph.graph import Graph
-from repro.tensor.functional import accuracy
-
-
-def split_accuracies(predictions: np.ndarray, graph: Graph) -> Dict[str, float]:
-    """Accuracy on each of the train/val/test splits."""
-    return {
-        "train": accuracy(predictions, graph.labels, graph.train_index),
-        "val": accuracy(predictions, graph.labels, graph.val_index),
-        "test": accuracy(predictions, graph.labels, graph.test_index),
-    }
 
 
 def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: Optional[int] = None) -> np.ndarray:

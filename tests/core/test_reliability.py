@@ -80,28 +80,6 @@ class TestNodeReliabilityLabeled:
         sets = node_reliability(teacher, student, labels, np.array([0]), p=100.0)
         assert sets.reliable_mask[0]
 
-    def test_labeled_check_variants_disagree_when_models_do(self):
-        # §3.1 prose checks the teacher; Alg. 1 line 4 checks the student.
-        labels = np.array([0])
-        teacher = probs_from_confidence([0.9], [0])   # teacher correct
-        student = probs_from_confidence([0.9], [1])   # student wrong
-        by_teacher = node_reliability(
-            teacher, student, labels, np.array([0]), p=100.0, labeled_check="teacher"
-        )
-        by_student = node_reliability(
-            teacher, student, labels, np.array([0]), p=100.0, labeled_check="student"
-        )
-        assert by_teacher.reliable_mask[0]
-        assert not by_student.reliable_mask[0]
-
-    def test_invalid_labeled_check_rejected(self):
-        from repro.errors import ConfigError
-
-        labels = np.array([0])
-        probs = probs_from_confidence([0.9], [0])
-        with pytest.raises(ConfigError):
-            node_reliability(probs, probs, labels, np.array([0]), labeled_check="oracle")
-
 
 class TestNodeReliabilityUnlabeled:
     def test_low_entropy_and_agreement_required(self):

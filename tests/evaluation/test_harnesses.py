@@ -1,12 +1,16 @@
 """Tests for the experiment harnesses (tiny budgets — structure, not accuracy)."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import repro.core.rdd as rdd_module
 from repro.baselines.planetoid import _PlanetoidNet
+from repro.core.ensemble import EnsembleModel
+from repro.core.rdd import RDDTrainer
 from repro.evaluation import (
     ExperimentReport,
     HarnessConfig,
@@ -24,6 +28,10 @@ from repro.evaluation import (
     table8,
     table9,
 )
+from repro.evaluation.common import load_graphs
+from repro.models.base import softmax_rows
+from repro.models.gcn import GCN
+from repro.tensor.functional import accuracy
 from repro.training.trainer import Trainer
 
 TINY = HarnessConfig(scale=0.1, seeds=(0,), num_base_models=2, max_epochs=20, patience=10, hidden=8)
@@ -157,6 +165,49 @@ class TestHarnessesProduceRows:
         report = ext_inductive.run(TINY, unseen_fraction=0.4)
         methods = {r["method"] for r in report.rows}
         assert "GCN inductive" in methods and "RDD(Ensemble) inductive" in methods
+
+
+class TestInductiveRows:
+    def test_rdd_rows_score_the_weighted_teacher_on_unseen_nodes(self, monkeypatch):
+        # Skewed α (first student 1e-3, second 1, in every fit) so the
+        # α-weighted teacher and a uniform average tell apart.
+        weights = itertools.cycle([1e-3, 1.0])
+        monkeypatch.setattr(rdd_module, "ensemble_weight", lambda probs, pagerank: next(weights))
+        splits = []
+        make_split = ext_inductive.make_inductive_split
+        monkeypatch.setattr(
+            ext_inductive, "make_inductive_split",
+            lambda *args: splits.append(make_split(*args)) or splits[-1],
+        )
+        graph = load_graphs(TINY, "cora")[0]
+        rows = ext_inductive.run_inductive(graph, TINY, 0, 0.4)
+        unseen = splits[0].unseen_nodes
+
+        def teacher_probs(fit_graph, eval_graph):
+            students = []
+
+            def factory(g, rng):
+                students.append(GCN(g.num_features, g.num_classes, rng, hidden=TINY.hidden))
+                return students[-1]
+
+            result = RDDTrainer(TINY.rdd_config(), model_factory=factory).fit(fit_graph, seed=0)
+            teacher = EnsembleModel()
+            for student, weight in zip(students, result.ensemble_weights):
+                logits = student.predict_logits(eval_graph)
+                teacher.add(softmax_rows(logits), logits, weight)
+            if fit_graph is eval_graph:
+                # The rebuilt teacher is the one RDD reports.
+                assert accuracy(
+                    teacher.probs(), graph.labels, graph.test_index
+                ) == result.ensemble_test_accuracy
+            return teacher.probs()
+
+        assert rows["RDD(Ensemble) transductive"] == accuracy(
+            teacher_probs(graph, graph), graph.labels, unseen
+        )
+        assert rows["RDD(Ensemble) inductive"] == accuracy(
+            teacher_probs(splits[0].observed, graph), graph.labels, unseen
+        )
 
 
 class TestDtypeScope:

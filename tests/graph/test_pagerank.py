@@ -46,21 +46,10 @@ class TestPagerank:
         assert scores.sum() == pytest.approx(1.0)
         assert np.all(scores > 0)
 
-    def test_personalization(self):
-        adj = build_adjacency(4, np.array([[0, 1], [1, 2], [2, 3]]))
-        teleport = np.array([1.0, 0.0, 0.0, 0.0])
-        scores = pagerank(adj, personalization=teleport)
-        assert scores[0] > scores[3]
-
     def test_invalid_damping_raises(self):
         adj = build_adjacency(3, np.array([[0, 1], [1, 2]]))
         with pytest.raises(GraphError):
             pagerank(adj, damping=1.5)
-
-    def test_invalid_personalization_raises(self):
-        adj = build_adjacency(3, np.array([[0, 1], [1, 2]]))
-        with pytest.raises(GraphError):
-            pagerank(adj, personalization=np.zeros(3))
 
     def test_empty_graph_raises(self):
         with pytest.raises(GraphError):

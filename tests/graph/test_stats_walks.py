@@ -6,7 +6,6 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import batch_random_walks, edge_homophily, summarize
 from repro.graph.graph import build_adjacency
-from repro.graph.stats import largest_connected_component_size
 
 
 class TestStats:
@@ -31,11 +30,6 @@ class TestStats:
         assert 0.0 <= stats.edge_homophily <= 1.0
         assert stats.label_rate == pytest.approx(tiny_graph.label_rate)
         assert set(stats.as_dict()) >= {"num_nodes", "edge_homophily"}
-
-    def test_largest_component(self):
-        # Two components: sizes 3 and 2.
-        adj = build_adjacency(5, np.array([[0, 1], [1, 2], [3, 4]]))
-        assert largest_connected_component_size(adj) == 3
 
 
 def random_walk(adjacency, start, length, rng):

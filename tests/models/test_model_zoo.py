@@ -58,14 +58,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DenseGCN(4, 2, rng, hidden=[8, 8], num_layers=2)
 
-    def test_jknet_aggregation_validation(self, rng):
-        with pytest.raises(ConfigError):
-            JKNet(4, 2, rng, aggregation="median")
-
-    def test_jknet_max_requires_uniform_widths(self, rng):
-        with pytest.raises(ConfigError):
-            JKNet(4, 2, rng, hidden=[8, 4], num_layers=3, aggregation="max")
-
     def test_gat_needs_positive_heads(self, rng):
         with pytest.raises(ConfigError):
             GAT(4, 2, rng, num_heads=0)
@@ -90,13 +82,6 @@ class TestArchitectureSpecifics:
 
     def test_shrinking_widths_floor(self):
         assert min(shrinking_widths(12)) >= 4
-
-    def test_jknet_max_aggregation_runs(self, tiny_graph, rng):
-        model = JKNet(
-            tiny_graph.num_features, tiny_graph.num_classes, rng,
-            hidden=8, num_layers=3, aggregation="max",
-        )
-        assert model(tiny_graph).shape == (tiny_graph.num_nodes, tiny_graph.num_classes)
 
     def test_appnp_propagation_smooths_neighbors(self, tiny_graph, rng):
         # More propagation steps → predictions of adjacent nodes more alike.

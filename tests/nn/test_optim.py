@@ -1,9 +1,9 @@
-"""Tests for SGD and Adam optimizers."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Parameter, SGD
+from repro.nn import Adam, Parameter
 from repro.tensor import ops
 
 
@@ -16,55 +16,6 @@ def quadratic_step(param, optimizer):
     loss.backward()
     optimizer.step()
     return loss.item()
-
-
-class TestSGD:
-    def test_single_step_direction(self):
-        w = Parameter(np.zeros(2))
-        opt = SGD([w], lr=0.1)
-        quadratic_step(w, opt)
-        assert np.all(w.data > 0)  # moved toward 3
-
-    def test_converges_on_quadratic(self):
-        w = Parameter(np.zeros(3))
-        opt = SGD([w], lr=0.1)
-        for _ in range(200):
-            quadratic_step(w, opt)
-        np.testing.assert_allclose(w.data, 3.0, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        w_plain = Parameter(np.zeros(1))
-        w_mom = Parameter(np.zeros(1))
-        plain = SGD([w_plain], lr=0.01)
-        mom = SGD([w_mom], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            quadratic_step(w_plain, plain)
-            quadratic_step(w_mom, mom)
-        assert abs(w_mom.data[0] - 3.0) < abs(w_plain.data[0] - 3.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        w = Parameter(np.full(2, 10.0))
-        opt = SGD([w], lr=0.1, weight_decay=1.0)
-        # Zero-gradient loss: only decay acts.
-        loss = ops.sum(ops.mul(w, 0.0))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        assert np.all(w.data < 10.0)
-
-    def test_skips_parameters_without_grad(self):
-        w = Parameter(np.ones(2))
-        opt = SGD([w], lr=0.5)
-        opt.step()  # no backward happened
-        np.testing.assert_allclose(w.data, 1.0)
-
-    def test_rejects_empty_parameter_list(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.0)
 
 
 class TestAdam:
@@ -112,6 +63,16 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], lr=-0.1)
 
+    def test_skips_parameters_without_grad(self):
+        w = Parameter(np.ones(2))
+        opt = Adam([w], lr=0.5)
+        opt.step()  # no backward happened
+        np.testing.assert_allclose(w.data, 1.0)
+
+    def test_rejects_empty_parameter_list(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
 
 BAD_RATES = [
     dict(lr=float("nan")),
@@ -123,7 +84,7 @@ BAD_RATES = [
 
 
 class TestRateValidation:
-    @pytest.mark.parametrize("optimizer", [SGD, Adam])
+    @pytest.mark.parametrize("optimizer", [Adam])
     @pytest.mark.parametrize(
         "rates", BAD_RATES, ids=lambda r: ",".join(f"{k}={v}" for k, v in r.items())
     )

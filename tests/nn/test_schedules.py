@@ -90,19 +90,6 @@ class TestInitializers:
         assert w.shape == (30, 20)
         assert w.min() >= -limit and w.max() <= limit
 
-    def test_glorot_normal_std(self, rng):
-        from repro.nn import glorot_normal
-
-        w = glorot_normal(rng, 500, 500)
-        assert w.std() == pytest.approx(math.sqrt(2.0 / 1000), rel=0.1)
-
-    def test_he_uniform_bounds(self, rng):
-        from repro.nn import he_uniform
-
-        w = he_uniform(rng, 24, 10)
-        limit = math.sqrt(6.0 / 24)
-        assert abs(w).max() <= limit
-
     def test_zeros(self):
         from repro.nn import zeros
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import build_adjacency
@@ -12,6 +14,7 @@ from repro.sampling import (
     layerwise_neighborhood,
     sample_adjacent,
 )
+from repro.sampling.neighbor import unique_ids
 from tests.sampling.loop_sampler import _sample_neighbors_loop
 
 
@@ -240,3 +243,20 @@ class TestLayerwiseNeighborhood:
         seeds = np.array([4, 2, 2])
         context = layerwise_neighborhood(tiny_graph.adjacency, seeds, 3, 0, np.random.default_rng(0))
         np.testing.assert_array_equal(context, [2, 4])
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+class TestUniqueIds:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(-4, 4), INT64), max_size=64))
+    def test_equals_np_unique(self, values):
+        ids = np.asarray(values, dtype=np.int64)
+        got, expected = unique_ids(ids), np.unique(ids)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_empty_input(self):
+        got = unique_ids(np.empty(0, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == (0,)

@@ -20,7 +20,6 @@ from repro.serving.artifacts import (
     graph_fingerprint,
     load_artifact,
     model_kinds,
-    register_model_kind,
 )
 from repro.tensor.tensor import default_dtype
 from repro.testing.faults import flip_byte, truncate_file
@@ -205,22 +204,3 @@ class TestRejection:
 class TestRegistry:
     def test_builtin_kinds_present(self):
         assert {"gcn", "mlp", "sgc"} <= set(model_kinds())
-
-    def test_registered_kind_round_trips(self, tiny_graph, tmp_path):
-        from repro.models.gcn import GCN
-
-        def tiny_gcn(num_features, num_classes, rng, **options):
-            return GCN(num_features, num_classes, rng, hidden=4, **options)
-
-        register_model_kind("tiny-gcn", tiny_gcn)
-        model = tiny_gcn(
-            tiny_graph.num_features, tiny_graph.num_classes, np.random.default_rng(0)
-        )
-        model.eval()
-        path = export_model_artifact(
-            tmp_path / "tiny.rddart", model, ModelSpec("tiny-gcn"), tiny_graph
-        )
-        rebuilt = load_artifact(path).build_model(tiny_graph)
-        assert np.array_equal(
-            rebuilt.predict_logits(tiny_graph), model.predict_logits(tiny_graph)
-        )

@@ -21,10 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.obs.metrics import MetricRegistry
 from repro.serving.batching import BatcherClosed, MicroBatcher, Overloaded
 from repro.serving.engine import InductiveQuery, ServingError
 from repro.serving.frontend import ReplicaFrontend
-from repro.serving.metrics import ServingMetrics
 from repro.testing.faults import FaultPlan, WorkerCrash, inject
 
 NUM_NODES = 60  # tiny_graph size; strategies must stay in range
@@ -65,16 +65,6 @@ class TestProperties:
             for value, future in zip(stream, futures):
                 assert future.result(timeout=10) == (value, value * 2 + 1)
 
-    @relaxed
-    @given(stream=request_stream)
-    def test_parity_holds_with_multiple_workers(self, engine, stream):
-        with MicroBatcher(
-            engine.predict_many, max_batch_size=4, max_wait_s=0.0, workers=2
-        ) as batcher:
-            futures = [batcher.submit(nodes) for nodes in stream]
-            for nodes, future in zip(stream, futures):
-                assert np.array_equal(future.result(timeout=10), engine.predict_nodes(nodes))
-
 
 # ----------------------------------------------------------------------
 # Concurrency smoke
@@ -88,7 +78,7 @@ class TestConcurrentClients:
             for _ in range(clients)
         ]
         expected = [[engine.predict_nodes(nodes) for nodes in stream] for stream in streams]
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         mismatches = []
 
         with MicroBatcher(
@@ -119,7 +109,7 @@ class TestConcurrentClients:
 # ----------------------------------------------------------------------
 class TestFaultIsolation:
     def test_injected_fault_fails_only_its_own_future(self, engine):
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         with inject(FaultPlan().fail("serving:request", key=1)) as plan:
             with MicroBatcher(
                 engine.predict_many, max_batch_size=8, max_wait_s=0.02, metrics=metrics
@@ -186,13 +176,14 @@ class TestFaultIsolation:
 def make_core(request, engine, gcn_artifact_path, tiny_graph):
     """Build the batching core over the test class's ``executor``: an
     in-thread :class:`MicroBatcher` over the engine, or a replica tier
-    serving the same artifact.  ``executors`` counts dispatchers
-    (batcher workers or replicas); the other knobs are the core's."""
+    serving the same artifact.  ``executors`` counts the replicas (the
+    micro-batcher always runs one dispatcher); the other knobs are the
+    core's."""
     built = []
 
     def make(executors: int = 1, **knobs):
         if request.cls.executor == "engine":
-            core = MicroBatcher(engine.answer_batch, workers=executors, **knobs)
+            core = MicroBatcher(engine.answer_batch, **knobs)
         else:
             core = ReplicaFrontend(gcn_artifact_path, tiny_graph, replicas=executors, **knobs)
         built.append(core)
@@ -258,7 +249,7 @@ class TestAdmission:
         # Regression: the queue used to be unbounded — saturation grew
         # latency without limit instead of rejecting the excess.
         plan, entered, release = _wedge()
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         core = make_core(max_batch_size=1, max_wait_s=0.0, max_queue=2, metrics=metrics)
         with inject(plan):
             try:
@@ -510,8 +501,8 @@ class TestLifecycle:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_batch_size": 0}, {"max_wait_s": -1.0}, {"workers": 0}, {"max_queue": 0}],
-        ids=["batch-size", "wait", "workers", "queue"],
+        [{"max_batch_size": 0}, {"max_wait_s": -1.0}, {"max_queue": 0}],
+        ids=["batch-size", "wait", "queue"],
     )
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ReproError):

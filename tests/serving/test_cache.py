@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serving.cache import TieredCache
-from repro.serving.metrics import ServingMetrics
+from repro.obs.metrics import MetricRegistry
 
 
 def key(i: int) -> bytes:
@@ -128,7 +128,7 @@ class TestDisabled:
 
 class TestMetrics:
     def test_counters_track_tier_behavior(self):
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         cache = TieredCache(
             hot_size=1, cold_size=2, promote_after=2, metrics=metrics, prefix="ind"
         )

@@ -1,8 +1,9 @@
 """Prediction engine: transductive tables, inductive queries, validation.
 
 The engine's contract is determinism — the same query against the same
-artifact returns bitwise-identical logits, cached or not — plus strict
-request validation (ServingError) and wrong-graph refusal (ArtifactError).
+artifact returns bitwise-identical logits, cached or recomputed — plus
+strict request validation (ServingError) and wrong-graph refusal
+(ArtifactError).
 """
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.datasets.citation import cora_like
-from repro.models.base import softmax_rows
 from repro.serving.artifacts import ArtifactError, ModelSpec, export_model_artifact, load_artifact
 from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 
@@ -21,15 +21,21 @@ class TestTransductive:
         expected = gcn_model.predict_logits(tiny_graph)[nodes]
         assert np.array_equal(engine.predict_nodes(nodes), expected)
 
-    def test_cache_on_and_off_are_bitwise_equal(self, gcn_artifact_path, tiny_graph):
-        cached = PredictionEngine(gcn_artifact_path, tiny_graph, cache_logits=True)
-        uncached = PredictionEngine(gcn_artifact_path, tiny_graph, cache_logits=False)
+    def test_table_is_computed_once_and_kept(self, gcn_artifact_path, tiny_graph, monkeypatch):
+        engine = PredictionEngine(gcn_artifact_path, tiny_graph)
+        forwards = []
+        original = engine._model.predict_logits
+
+        def counting(graph):
+            forwards.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(engine._model, "predict_logits", counting)
         nodes = np.arange(tiny_graph.num_nodes)
-        first = cached.predict_nodes(nodes)
-        assert cached._table is not None
-        assert uncached._table is None
-        assert np.array_equal(first, uncached.predict_nodes(nodes))
-        assert np.array_equal(first, cached.predict_nodes(nodes))  # served from cache
+        first = engine.predict_nodes(nodes)
+        assert np.array_equal(engine.predict_many([nodes])[0], first)
+        assert np.array_equal(engine.predict_nodes(nodes), first)
+        assert len(forwards) == 1
 
     def test_predict_many_matches_per_request_calls(self, engine):
         requests = [[0, 1], [5], [59, 30, 2]]
@@ -37,11 +43,6 @@ class TestTransductive:
         assert len(batched) == len(requests)
         for request, result in zip(requests, batched):
             assert np.array_equal(result, engine.predict_nodes(request))
-
-    def test_predict_proba_rows_normalize(self, engine):
-        probs = engine.predict_proba_nodes([0, 1, 2])
-        assert np.allclose(probs.sum(axis=1), 1.0)
-        assert np.array_equal(probs, softmax_rows(engine.predict_nodes([0, 1, 2])))
 
     def test_introspection(self, engine, tiny_graph):
         assert engine.model_kind == "gcn"
@@ -130,12 +131,15 @@ class TestInductive:
         assert np.array_equal(first, again)
 
     def test_determinism_survives_cache_disable(self, gcn_artifact_path, tiny_graph, engine):
-        uncached = PredictionEngine(gcn_artifact_path, tiny_graph, inductive_cache_size=0)
+        # Clearing the cache before each call makes every answer a fresh
+        # computation, which must equal the memoized one bitwise.
+        fresh = PredictionEngine(gcn_artifact_path, tiny_graph)
         features = np.asarray(tiny_graph.features[3]).ravel()
         expected = engine.predict_inductive(features, [3, 8, 20])
-        assert np.array_equal(uncached.predict_inductive(features, [3, 8, 20]), expected)
-        assert np.array_equal(uncached.predict_inductive(features, [3, 8, 20]), expected)
-        assert len(uncached._inductive_cache) == 0
+        for _ in range(2):
+            fresh._inductive_cache.clear()
+            assert np.array_equal(fresh.predict_inductive(features, [3, 8, 20]), expected)
+        assert fresh.metrics.counter("inductive_cache_misses_total") == 2
 
     def test_neighbor_order_and_duplicates_do_not_matter(self, engine, tiny_graph):
         features = np.asarray(tiny_graph.features[9]).ravel()
@@ -159,11 +163,13 @@ class TestInductive:
         assert logits.shape == (tiny_graph.num_classes,)
 
     def test_lru_stays_bounded(self, gcn_artifact_path, tiny_graph):
-        engine = PredictionEngine(gcn_artifact_path, tiny_graph, inductive_cache_size=4)
+        engine = PredictionEngine(gcn_artifact_path, tiny_graph)
+        cache = engine._inductive_cache
         features = np.asarray(tiny_graph.features[0]).ravel()
-        for node in range(10):
-            engine.predict_inductive(features, [node])
-        assert len(engine._inductive_cache) == 4
+        for i in range(cache.cold_size + 10):
+            engine.predict_inductive(features + i, [i % tiny_graph.num_nodes])
+        # Every query is new, so none is promoted: only the cold LRU fills.
+        assert len(cache) == cache.cold_size
 
     def test_wrong_feature_shape_rejected(self, engine, tiny_graph):
         with pytest.raises(ServingError, match="features"):
@@ -192,10 +198,8 @@ class TestConstruction:
         nodes = [0, 30, 59]
         assert np.array_equal(from_path.predict_nodes(nodes), from_artifact.predict_nodes(nodes))
 
-    def test_hops_inferred_from_spec(self, engine, gcn_artifact_path, tiny_graph):
+    def test_hops_inferred_from_spec(self, engine):
         assert engine._num_hops == 2  # GCN default num_layers
-        override = PredictionEngine(gcn_artifact_path, tiny_graph, num_hops=1)
-        assert override._num_hops == 1
 
 
 class TestFloat32Artifacts:

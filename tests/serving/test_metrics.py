@@ -1,11 +1,18 @@
-"""Serving metrics: counters, windowed histograms, snapshots."""
+"""Serving metrics: counters, windowed histograms, snapshots.
+
+The serving stack records into one :class:`~repro.obs.metrics.MetricRegistry`;
+these tests pin the registry behaviour serving relies on and the names
+the batching core records under.
+"""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.serving.metrics import ServingMetrics, WindowHistogram
+from repro.obs.metrics import MetricRegistry, WindowHistogram
+from repro.serving.batching import MicroBatcher
 
 
 class TestWindowHistogram:
@@ -38,31 +45,51 @@ class TestWindowHistogram:
 
 class TestServingMetrics:
     def test_counters_accumulate(self):
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         assert metrics.counter("requests_total") == 0
         metrics.inc("requests_total")
         metrics.inc("requests_total", 4)
         assert metrics.counter("requests_total") == 5
 
     def test_latency_stored_in_milliseconds(self):
-        metrics = ServingMetrics()
-        metrics.observe_latency(0.25)
-        assert metrics.percentile("latency_ms", "p50") == 250.0
+        metrics = MetricRegistry()
+
+        def slow(payloads):
+            time.sleep(0.05)
+            return payloads
+
+        with MicroBatcher(slow, metrics=metrics) as batcher:
+            batcher.predict(0, timeout=10)
+        assert metrics.percentile("latency_ms", "p50") >= 50.0
 
     def test_batch_size_observation_counts_batches(self):
-        metrics = ServingMetrics()
-        metrics.observe_batch_size(4)
-        metrics.observe_batch_size(8)
+        metrics = MetricRegistry()
+        entered, release = threading.Event(), threading.Event()
+
+        def held(payloads):
+            entered.set()
+            release.wait(timeout=10)
+            return payloads
+
+        with MicroBatcher(held, max_batch_size=8, max_wait_s=0.0, metrics=metrics) as batcher:
+            first = batcher.submit(0)  # the dispatcher holds this one
+            assert entered.wait(timeout=10)
+            rest = [batcher.submit(i) for i in range(1, 5)]
+            release.set()
+            for future in [first, *rest]:
+                future.result(timeout=10)
+        # The held request leaves alone; the four queued behind it leave
+        # together, one batch of four.
         assert metrics.counter("batches_total") == 2
-        assert metrics.percentile("batch_size", "max") == 8.0
+        assert metrics.percentile("batch_size", "max") == 4.0
 
     def test_percentile_of_unknown_histogram_is_none(self):
-        assert ServingMetrics().percentile("nope") is None
+        assert MetricRegistry().percentile("nope") is None
 
     def test_snapshot_is_json_ready_and_sorted(self):
         import json
 
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         metrics.inc("b")
         metrics.inc("a")
         metrics.observe("latency_ms", 1.0)
@@ -76,7 +103,7 @@ class TestServingMetrics:
         # lock but call summary() after releasing it, racing the ring
         # buffer against concurrent add() calls.  Hammer readers against
         # writers: every read must return a coherent value, never raise.
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         stop = threading.Event()
         failures = []
 
@@ -108,7 +135,7 @@ class TestServingMetrics:
         assert not failures
 
     def test_thread_safety_under_contention(self):
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
 
         def hammer():
             for _ in range(500):

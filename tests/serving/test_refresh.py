@@ -81,12 +81,6 @@ class TestStreamingConstruction:
         with pytest.raises(ServingError, match="streaming"):
             PredictionEngine(ensemble_artifact_path, tiny_graph, streaming=True)
 
-    def test_requires_cached_logits(self, gcn_artifact_path, tiny_graph):
-        with pytest.raises(ServingError, match="cache_logits"):
-            PredictionEngine(
-                gcn_artifact_path, tiny_graph, streaming=True, cache_logits=False
-            )
-
     def test_static_engine_rejects_apply_delta(self, gcn_artifact_path, tiny_graph):
         engine = PredictionEngine(gcn_artifact_path, tiny_graph)
         with pytest.raises(ServingError, match="streaming=True"):
@@ -287,7 +281,6 @@ class TestVersionedInductiveLRU:
             streaming_engine.graph,
             streaming=True,
             verify_graph=False,
-            seed=streaming_engine.seed,
         )
         assert np.array_equal(second, fresh.predict_inductive(features, neighbors))
 

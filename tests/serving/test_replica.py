@@ -25,9 +25,9 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.serving.artifacts import ModelSpec, export_model_artifact
 from repro.serving.batching import BatcherClosed, Overloaded
-from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
+from repro.serving.engine import InductiveQuery, PredictionEngine
 from repro.serving.frontend import ReplicaFrontend
-from repro.serving.metrics import ServingMetrics, merge_counter_snapshots
+from repro.obs.metrics import MetricRegistry
 from repro.serving.replica import SharedLogitsTable
 from repro.serving.server import PredictionServer
 from repro.testing.faults import FaultPlan, inject
@@ -171,7 +171,7 @@ class TestAdmission:
             entered.set()
             release.wait(timeout=30)
 
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         plan = FaultPlan().fail("serving:request", at=0, action=block)
         with ReplicaFrontend(
             gcn_artifact_path, tiny_graph, replicas=1, max_queue=2,
@@ -206,13 +206,6 @@ class TestAdmission:
             frontend.submit([0])
         frontend.close()  # idempotent
 
-    def test_streaming_engines_are_rejected(self, gcn_artifact_path, tiny_graph):
-        with pytest.raises(ServingError, match="single-process"):
-            ReplicaFrontend(
-                gcn_artifact_path, tiny_graph, replicas=1,
-                engine_kwargs={"streaming": True},
-            )
-
     @pytest.mark.parametrize(
         "kwargs",
         [{"replicas": 0}, {"max_queue": 0}, {"max_batch_size": 0}, {"max_wait_s": -1.0}],
@@ -230,7 +223,7 @@ class TestSelfHealing:
     def test_killed_replica_is_revived_and_the_request_retried(
         self, gcn_artifact_path, tiny_graph, engine
     ):
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         with ReplicaFrontend(
             gcn_artifact_path, tiny_graph, replicas=1, max_wait_s=0.0, metrics=metrics
         ) as frontend:
@@ -253,7 +246,7 @@ class TestSelfHealing:
         # SIGSTOP freezes the worker mid-service: alive but silent — the
         # failure mode reply_timeout_s exists for.  The dispatcher must
         # declare it wedged, re-fork, and retry on the fresh process.
-        metrics = ServingMetrics()
+        metrics = MetricRegistry()
         with ReplicaFrontend(
             gcn_artifact_path, tiny_graph, replicas=1, max_wait_s=0.0,
             reply_timeout_s=1.0, metrics=metrics,
@@ -443,17 +436,3 @@ class TestHTTPFrontend:
             assert snapshot["counters"]["http_429"] >= 1
             assert snapshot["counters"]["shed_total"] >= 1
             assert snapshot["counters"]["http_200"] >= 2
-
-
-# ----------------------------------------------------------------------
-# Metrics plumbing
-# ----------------------------------------------------------------------
-def test_merge_counter_snapshots_sums_across_processes():
-    merged = merge_counter_snapshots(
-        [
-            {"counters": {"requests_total": 3, "shed_total": 1}},
-            {"counters": {"requests_total": 4, "errors_total": 2}},
-            {"counters": {}},
-        ]
-    )
-    assert merged == {"requests_total": 7, "shed_total": 1, "errors_total": 2}

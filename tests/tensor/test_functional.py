@@ -12,7 +12,6 @@ from repro.tensor.functional import (
     embedding_mse,
     entropy,
     kl_divergence,
-    l2_penalty,
     masked_cross_entropy,
 )
 
@@ -164,10 +163,3 @@ class TestAccuracyAndPenalty:
     def test_accuracy_empty_index_raises(self):
         with pytest.raises(ShapeError):
             accuracy(np.array([0]), np.array([0]), np.array([], dtype=np.int64))
-
-    def test_l2_penalty(self):
-        params = [Tensor(np.ones(2), requires_grad=True), Tensor(np.full(3, 2.0), requires_grad=True)]
-        assert l2_penalty(params).item() == pytest.approx(2.0 + 12.0)
-
-    def test_l2_penalty_empty(self):
-        assert l2_penalty([]).item() == 0.0

@@ -137,19 +137,6 @@ class TestZeroGradSemantics:
         w.zero_grad()
         assert w.grad is None
 
-    def test_in_place_zero_fill(self):
-        w = param((3,))
-        ops.sum(ops.mul(w, w)).backward()
-        buffer = w.grad
-        w.zero_grad(set_to_none=False)
-        assert w.grad is buffer
-        assert np.all(buffer == 0.0)
-
-    def test_zero_fill_without_grad_is_noop(self):
-        w = param((3,))
-        w.zero_grad(set_to_none=False)
-        assert w.grad is None
-
 
 class TestFusedLayerDispatch:
     def test_linear_layer_uses_fused_node(self):

@@ -113,11 +113,6 @@ class TestReductionGradients:
         a = param((3, 5))
         check_gradients(lambda: ops.sum(ops.mul(ops.mean(a, axis=1, keepdims=True), 2.0)), [a])
 
-    def test_max_along(self):
-        # Use well-separated values so the argmax is stable under epsilon.
-        a = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4) * 2.0, requires_grad=True)
-        check_gradients(lambda: ops.sum(ops.max_along(a, axis=1)), [a])
-
 
 class TestSoftmaxGradients:
     def test_softmax(self):

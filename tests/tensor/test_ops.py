@@ -116,15 +116,6 @@ class TestReductions:
         ops.mean(a, axis=1).sum().backward()
         np.testing.assert_allclose(a.grad, np.full((2, 4), 0.25))
 
-    def test_max_along(self):
-        out = ops.max_along(t([[1.0, 5.0], [7.0, 2.0]]), axis=1)
-        np.testing.assert_allclose(out.data, [5.0, 7.0])
-
-    def test_max_along_tie_splits_gradient(self):
-        a = t([[3.0, 3.0]])
-        ops.max_along(a, axis=1).sum().backward()
-        np.testing.assert_allclose(a.grad, [[0.5, 0.5]])
-
 
 class TestNonlinearities:
     def test_relu(self):

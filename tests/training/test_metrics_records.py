@@ -11,7 +11,6 @@ from repro.training import (
     macro_f1,
     make_rng,
     spawn_rngs,
-    split_accuracies,
 )
 
 
@@ -46,11 +45,6 @@ class TestMetrics:
         labels = np.array([0, 1, 1, 0, 0])
         value = macro_f1(preds, labels)
         assert 0.0 < value < 1.0
-
-    def test_split_accuracies(self, tiny_graph):
-        preds = tiny_graph.labels.copy()
-        accs = split_accuracies(preds, tiny_graph)
-        assert accs == {"train": 1.0, "val": 1.0, "test": 1.0}
 
 
 class TestRecords:
