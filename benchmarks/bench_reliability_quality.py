@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis import edge_reliability_quality, node_reliability_quality
-from repro.core import RDDTrainer, node_reliability
+from repro.core import node_reliability, teacher_context
 from repro.datasets import cora_like
 from repro.evaluation.common import ExperimentReport
 from repro.models import GCN
@@ -31,7 +31,9 @@ def _reliability_quality(graph, config):
     trainer.fit(student_model, graph)
     student_probs = softmax_rows(student_model.predict_logits(graph))
 
-    sets = node_reliability(teacher_probs, student_probs, graph.labels, graph.train_index, p=40.0)
+    sets = node_reliability(
+        student_probs, teacher_context(teacher_probs, graph.labels, graph.train_index, p=40.0)
+    )
     nodes = node_reliability_quality(sets, teacher_probs, graph.labels)
     edges = edge_reliability_quality(graph, sets, student_probs.argmax(axis=1))
     return nodes, edges

@@ -28,7 +28,7 @@ def main() -> None:
 
     results = {}
 
-    lp = LabelPropagation(alpha=0.9)
+    lp = LabelPropagation()
     results["Label Propagation"] = accuracy(lp.predict(graph), graph.labels, graph.test_index)
 
     mlp = MLP(graph.num_features, graph.num_classes, make_rng(1))

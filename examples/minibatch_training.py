@@ -44,7 +44,7 @@ def main() -> None:
           f"({time.perf_counter() - start:.1f}s)")
 
     # Show how small one sampled computation graph actually is.
-    batch = BlockBuilder(graph.adjacency, (5, 5), seed=1).build(graph.train_index[:32])
+    batch = BlockBuilder(graph.adjacency, (5, 5), make_rng(1)).build(graph.train_index[:32])
     print(f"\none minibatch touches {len(batch.input_nodes)} of "
           f"{graph.num_nodes} nodes "
           f"({len(batch.input_nodes) / graph.num_nodes:.1%} of the graph)")

@@ -21,7 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro import GCN, Trainer, cora_like
-from repro.core import EnsembleModel, edge_reliability, ensemble_weight, node_reliability
+from repro.core import (
+    EnsembleModel,
+    edge_reliability,
+    ensemble_weight,
+    node_reliability,
+    teacher_context,
+)
 from repro.models.base import softmax_rows
 from repro.training import make_rng
 
@@ -47,7 +53,9 @@ def reliability_report(graph, title: str) -> None:
     student_probs = softmax_rows(student.predict_logits(graph))
     teacher_probs = teacher.probs()
 
-    sets = node_reliability(teacher_probs, student_probs, graph.labels, graph.train_index, p=40.0)
+    sets = node_reliability(
+        student_probs, teacher_context(teacher_probs, graph.labels, graph.train_index, p=40.0)
+    )
     teacher_pred = teacher_probs.argmax(axis=1)
     correct = teacher_pred == graph.labels
 

@@ -121,12 +121,6 @@ def main() -> None:
         num_base_models=args.base_models,
         max_epochs=args.max_epochs,
     )
-    light_config = HarnessConfig(
-        scale=args.scale,
-        seeds=tuple(args.seeds[:2]) or (0,),
-        num_base_models=args.base_models,
-        max_epochs=args.max_epochs,
-    )
 
     runs = [
         ("table2", lambda: table2.run(config)),
@@ -135,11 +129,11 @@ def main() -> None:
         ("table4", lambda: table4.run(config)),
         ("table5", lambda: table5.run(config)),
         ("table6", lambda: table6.run(config)),
-        ("fig6", lambda: fig6.run(light_config, include_deep=True)),
-        ("table7", lambda: table7.run(light_config)),
+        ("fig6", lambda: fig6.run(config, include_deep=True)),
+        ("table7", lambda: table7.run(config)),
         ("table8", lambda: table8.run(config, datasets=("cora", "citeseer", "pubmed"))),
         ("table9", lambda: table9.run(config)),
-        ("ext_noise", lambda: ext_noise.run(light_config)),
+        ("ext_noise", lambda: ext_noise.run(config)),
         ("ext_inductive", lambda: ext_inductive.run(config)),
     ]
 

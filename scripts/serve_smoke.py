@@ -10,6 +10,10 @@ Covers the full train→export→serve→query path in a few seconds:
 4. assert 200s (and sane payloads) from ``/healthz``, ``/predict``
    (transductive + inductive), and ``/metrics``.
 
+The single-process run then exports an RDD teacher through
+``repro export --ensemble 2``, serves it, and asserts that an inductive
+``/predict`` answers 200 with the label an in-process engine gives.
+
 With ``--replicas`` the smoke additionally exports a *second* artifact
 and performs one rolling swap via ``POST /admin/reload`` **while a
 background client hammers /predict** — asserting zero downtime: every
@@ -36,6 +40,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
 
 import numpy as np  # noqa: E402
 
+from repro.cli import main as cli_main  # noqa: E402
 from repro.datasets import cora_like  # noqa: E402
 from repro.models.gcn import GCN  # noqa: E402
 from repro.serving import (  # noqa: E402
@@ -61,6 +66,11 @@ def _post(url: str, body: dict):
         return response.status, json.loads(response.read())
 
 
+def _dense_row(graph, node: int) -> np.ndarray:
+    features = graph.features
+    return np.asarray(features[node].todense()).ravel() if hasattr(features, "todense") else features[node]
+
+
 def _smoke_endpoints(server: PredictionServer, engine: PredictionEngine, graph) -> None:
     status, health = _get(f"{server.url}/healthz")
     assert status == 200 and health["status"] == "ok", health
@@ -72,9 +82,7 @@ def _smoke_endpoints(server: PredictionServer, engine: PredictionEngine, graph) 
     assert predict["labels"] == expected, (predict["labels"], expected)
     print(f"predict ok: {predict}")
 
-    features = np.asarray(
-        graph.features[0].todense()
-    ).ravel() if hasattr(graph.features, "todense") else graph.features[0]
+    features = _dense_row(graph, 0)
     status, inductive = _post(
         f"{server.url}/predict",
         {"features": features.tolist(), "neighbors": [1, 2]},
@@ -87,6 +95,25 @@ def _smoke_endpoints(server: PredictionServer, engine: PredictionEngine, graph) 
     assert metrics["counters"].get("requests_total", 0) >= 2, metrics
     assert metrics["histograms"].get("latency_ms", {}).get("count", 0) >= 1, metrics
     print(f"metrics ok: {metrics['counters']}")
+
+
+def _smoke_ensemble(tmp: Path, graph) -> None:
+    """Serve a teacher exported by ``repro export --ensemble 2``: an
+    inductive /predict must answer 200 with the in-process engine's label."""
+    path = Path(tmp) / "smoke-ensemble.rddart"
+    code = cli_main([
+        "export", "--dataset", "cora", "--scale", "0.1", "--seed", "0", "--ensemble", "2",
+        "--max-epochs", "20", "--patience", "10", "--out", str(path),
+    ])
+    assert code == 0, code
+    features, neighbors = _dense_row(graph, 0), [1, 2]
+    with PredictionServer(PredictionEngine(path, graph), port=0).start() as server:
+        status, inductive = _post(
+            f"{server.url}/predict", {"features": features.tolist(), "neighbors": neighbors}
+        )
+    expected = int(PredictionEngine(path, graph).predict_inductive(features, neighbors).argmax())
+    assert status == 200 and inductive["label"] == expected, (inductive, expected)
+    print(f"ensemble inductive ok: {inductive}")
 
 
 def _rolling_swap_under_load(server: PredictionServer, second_path: Path, graph) -> None:
@@ -173,6 +200,7 @@ def main(argv=None) -> int:
         else:
             with PredictionServer(engine, port=0).start() as server:
                 _smoke_endpoints(server, engine, graph)
+            _smoke_ensemble(Path(tmp), graph)
     print("serve smoke: PASS")
     return 0
 

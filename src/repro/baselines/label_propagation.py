@@ -10,28 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.graph.normalize import gcn_normalize
 
 
+# Propagation weight in (0, 1) — higher trusts the graph more — and the
+# fixed-point iteration's budget and convergence tolerance.
+ALPHA = 0.9
+MAX_ITER = 200
+TOL = 1e-8
+
+
 class LabelPropagation:
-    """Iterative label spreading with clamped seeds.
-
-    Parameters
-    ----------
-    alpha:
-        Propagation weight in (0, 1); higher values trust the graph more.
-    max_iter / tol:
-        Convergence controls for the fixed-point iteration.
-    """
-
-    def __init__(self, alpha: float = 0.9, max_iter: int = 200, tol: float = 1e-8):
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-        self.alpha = alpha
-        self.max_iter = max_iter
-        self.tol = tol
+    """Iterative label spreading with clamped seeds (``α = 0.9``)."""
 
     def predict_proba(self, graph: Graph) -> np.ndarray:
         """Per-node class distributions after propagation."""
@@ -41,10 +32,10 @@ class LabelPropagation:
         spread = gcn_normalize(graph.adjacency)
 
         current = seed.copy()
-        for _ in range(self.max_iter):
-            updated = self.alpha * (spread @ current) + (1.0 - self.alpha) * seed
+        for _ in range(MAX_ITER):
+            updated = ALPHA * (spread @ current) + (1.0 - ALPHA) * seed
             updated[graph.train_index] = seed[graph.train_index]  # clamp labels
-            if np.abs(updated - current).max() < self.tol:
+            if np.abs(updated - current).max() < TOL:
                 current = updated
                 break
             current = updated

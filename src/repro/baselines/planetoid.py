@@ -25,7 +25,6 @@ from typing import List, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ConfigError
 from repro.graph.graph import Graph
 from repro.graph.walks import batch_random_walks
 from repro.nn.layers import Linear
@@ -54,52 +53,33 @@ class _PlanetoidNet(Module):
         return self.classifier(ops.concat([h, e], axis=1))
 
 
+# Planetoid's fixed settings: embedding and classifier hidden widths,
+# random-walk length and skip-gram window, walks per node per embedding
+# epoch, negatives per positive pair, the share of context pairs drawn
+# from same-label training pairs (the original's supervision
+# injection), and Adam's learning rate.
+EMBED_DIM = 32
+HIDDEN = 16
+WALK_LENGTH = 6
+WINDOW = 3
+WALKS_PER_NODE = 2
+NEGATIVE_SAMPLES = 4
+SUPERVISED_RATIO = 0.5
+LR = 0.01
+
+
 class Planetoid:
     """Transductive Planetoid trainer.
 
     Parameters
     ----------
-    embed_dim / hidden:
-        Embedding width and classifier hidden width.
-    walk_length / window:
-        Random-walk context extraction parameters.
-    walks_per_node:
-        Walks sampled per node per embedding epoch.
-    negative_samples:
-        Negatives per positive pair in the skip-gram loss.
-    supervised_ratio:
-        Fraction of context pairs drawn from same-label training pairs
-        (the supervision injection of the original algorithm).
     epochs:
         Alternating training epochs (each = one embedding pass + one
         supervised pass).
     """
 
-    def __init__(
-        self,
-        embed_dim: int = 32,
-        hidden: int = 16,
-        walk_length: int = 6,
-        window: int = 3,
-        walks_per_node: int = 2,
-        negative_samples: int = 4,
-        supervised_ratio: float = 0.5,
-        epochs: int = 100,
-        lr: float = 0.01,
-    ):
-        if not 0.0 <= supervised_ratio <= 1.0:
-            raise ConfigError(f"supervised_ratio must be in [0, 1], got {supervised_ratio}")
-        if window < 1 or walk_length < 2:
-            raise ConfigError("window must be >= 1 and walk_length >= 2")
-        self.embed_dim = embed_dim
-        self.hidden = hidden
-        self.walk_length = walk_length
-        self.window = window
-        self.walks_per_node = walks_per_node
-        self.negative_samples = negative_samples
-        self.supervised_ratio = supervised_ratio
+    def __init__(self, epochs: int = 100):
         self.epochs = epochs
-        self.lr = lr
 
     # ------------------------------------------------------------------
     def _context_pairs(self, graph: Graph, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
@@ -112,13 +92,13 @@ class Planetoid:
         # Cap the per-epoch walk batch so epochs stay cheap on big graphs.
         num_starts = min(512, max(32, graph.num_nodes // 4))
         starts = rng.permutation(graph.num_nodes)[:num_starts]
-        starts = np.repeat(starts, self.walks_per_node)
-        walks = batch_random_walks(graph.adjacency, starts, self.walk_length, rng)
+        starts = np.repeat(starts, WALKS_PER_NODE)
+        walks = batch_random_walks(graph.adjacency, starts, WALK_LENGTH, rng)
 
         source_parts: List[np.ndarray] = []
         context_parts: List[np.ndarray] = []
         length = walks.shape[1]
-        for offset in range(1, self.window + 1):
+        for offset in range(1, WINDOW + 1):
             if offset >= length:
                 break
             u = walks[:, offset:]
@@ -132,7 +112,7 @@ class Planetoid:
         # Supervision injection: pairs of same-labeled training nodes.
         train = graph.train_index
         labels = graph.labels
-        num_supervised = int(len(sources) * self.supervised_ratio)
+        num_supervised = int(len(sources) * SUPERVISED_RATIO)
         if num_supervised and len(train) > 1:
             u = rng.choice(train, size=num_supervised)
             v = np.empty_like(u)
@@ -151,17 +131,17 @@ class Planetoid:
         src, ctx = self._context_pairs(graph, rng)
         if len(src) == 0:
             return Tensor(0.0)
-        negatives = rng.integers(0, graph.num_nodes, size=(len(src), self.negative_samples))
+        negatives = rng.integers(0, graph.num_nodes, size=(len(src), NEGATIVE_SAMPLES))
 
         e_src = ops.gather(net.embeddings, src)
         e_ctx = ops.gather(net.embeddings, ctx)
         positive_score = ops.sum(ops.mul(e_src, e_ctx), axis=1)
         loss = -ops.mean(ops.log(ops.clip(ops.sigmoid(positive_score), 1e-10, 1.0)))
-        for k in range(self.negative_samples):
+        for k in range(NEGATIVE_SAMPLES):
             e_neg = ops.gather(net.embeddings, negatives[:, k])
             negative_score = ops.sum(ops.mul(e_src, e_neg), axis=1)
             term = -ops.mean(ops.log(ops.clip(ops.sigmoid(-negative_score), 1e-10, 1.0)))
-            loss = ops.add(loss, ops.mul(term, 1.0 / self.negative_samples))
+            loss = ops.add(loss, ops.mul(term, 1.0 / NEGATIVE_SAMPLES))
         return loss
 
     # ------------------------------------------------------------------
@@ -175,9 +155,9 @@ class Planetoid:
 
         net = _PlanetoidNet(
             graph.num_features, graph.num_classes, graph.num_nodes,
-            self.hidden, self.embed_dim, rng,
+            HIDDEN, EMBED_DIM, rng,
         )
-        optimizer = Adam(net.parameters(), lr=self.lr)
+        optimizer = Adam(net.parameters(), lr=LR)
 
         best_val, best_state, best_epoch = -1.0, net.state_dict(), -1
         for epoch in range(self.epochs):

@@ -299,8 +299,18 @@ def _cmd_export(args) -> int:
             hidden=args.hidden,
             dropout=args.dropout,
         )
+        students = []
+
+        def student_factory(graph, rng):
+            # RDDTrainer's default student, kept for export: after the fit
+            # each holds its best-checkpoint weights.
+            model = GCN(graph.num_features, graph.num_classes, rng,
+                        hidden=config.hidden, dropout=config.dropout)
+            students.append(model)
+            return model
+
         with default_dtype(args.dtype):
-            result = RDDTrainer(config).fit(graph, seed=args.seed)
+            result = RDDTrainer(config, model_factory=student_factory).fit(graph, seed=args.seed)
             # Rebuild the teacher from the per-student best-checkpoint
             # logits and α-weights the fit recorded — the same arrays
             # RDDTrainer fed EnsembleModel.add, so the served teacher is
@@ -308,8 +318,11 @@ def _cmd_export(args) -> int:
             teacher = EnsembleModel.from_logits(
                 [base.predictions for base in result.base_results], result.ensemble_weights
             )
+        spec = ModelSpec("gcn", {"hidden": args.hidden, "dropout": args.dropout})
         path = export_ensemble_artifact(
-            args.out, teacher, graph, dataset=dataset_spec,
+            args.out, teacher, graph,
+            members=[(spec, model.state_dict()) for model in students],
+            dataset=dataset_spec,
             metadata={"test_accuracy": result.ensemble_test_accuracy},
         )
         accuracy = result.ensemble_test_accuracy

@@ -6,9 +6,11 @@ from repro.core.losses import RDDLossState, rdd_student_loss
 from repro.core.rdd import RDDResult, RDDTrainer, train_rdd
 from repro.core.reliability import (
     ReliabilitySets,
+    TeacherContext,
     edge_reliability,
     entropy_threshold_mask,
     node_reliability,
+    teacher_context,
 )
 
 __all__ = [
@@ -17,6 +19,8 @@ __all__ = [
     "RDDResult",
     "train_rdd",
     "ReliabilitySets",
+    "TeacherContext",
+    "teacher_context",
     "node_reliability",
     "edge_reliability",
     "entropy_threshold_mask",

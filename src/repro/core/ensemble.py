@@ -99,10 +99,6 @@ class EnsembleModel:
         """Teacher argmax labels."""
         return self.probs().argmax(axis=1)
 
-    def base_predictions(self, index: int) -> np.ndarray:
-        """Argmax labels of base model ``index``."""
-        return self._probs[index].argmax(axis=1)
-
     @classmethod
     def from_logits(cls, logits: Sequence[np.ndarray], weights: Sequence[float]) -> "EnsembleModel":
         """The ensemble of base models with these logits and raw α-weights,

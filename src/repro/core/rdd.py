@@ -206,6 +206,7 @@ class RDDTrainer:
         beta = config.effective_beta()
         # The teacher is frozen while this student trains: hoist its
         # argmax/uncertainty-threshold work out of the per-epoch refresh.
+        # The context carries p and the score to both cuts of Alg. 1.
         teacher_ctx = teacher_context(
             teacher_probs,
             graph.labels,
@@ -234,13 +235,7 @@ class RDDTrainer:
             trainer's current eval-mode logits."""
             refresh_start = time.perf_counter()
             student_probs = softmax_rows(eval_logits)
-            sets = node_reliability(
-                teacher_probs,
-                student_probs,
-                graph.labels,
-                graph.train_index,
-                context=teacher_ctx,
-            )
+            sets = node_reliability(student_probs, teacher_ctx)
             state.distill_index = sets.distill_index
             holder["reliable_mask"] = sets.reliable_mask
             student_pred = None

@@ -15,6 +15,10 @@ Reliability decides which teacher predictions the student may learn from:
   teacher learns it reliably";
 * an **edge** is reliable iff both endpoints are reliable and the student
   predicts the same class for them (Alg. 2, Eq. 5).
+
+Both node cuts use one percentile ``p`` and one uncertainty score
+(entropy in the paper).  :func:`teacher_context` is where they are set,
+and :func:`node_reliability` reads them only from the context it is given.
 """
 
 from __future__ import annotations
@@ -110,14 +114,17 @@ def entropy_threshold_mask(entropies: np.ndarray, percent: float, lowest: bool) 
 
 @dataclass(frozen=True)
 class TeacherContext:
-    """Teacher-side constants of Algorithm 1, precomputed once per student.
+    """The settings of Algorithm 1 and its teacher-side constants.
 
+    :func:`teacher_context` is the one place the reliability settings
+    enter: the percentile ``p``, the uncertainty ``score`` and the
+    ``use_reliability`` switch cut both the teacher side (lowest-``p``%
+    uncertainty) and the student side (highest-``p``% uncertainty, the
+    ``V_b`` cut) of every :func:`node_reliability` call made with it.
     The teacher ensemble is frozen for the whole of one student's
-    training, so its argmax predictions, its uncertainty ranking (the
-    lowest-``p``% threshold mask), and the labeled-node reliability are
-    identical across every per-epoch :func:`node_reliability` call.
-    Hoisting them out turns the per-epoch refresh into student-side work
-    only.
+    training, so its argmax predictions, its uncertainty ranking and the
+    labeled-node reliability are computed here once, and the per-epoch
+    refresh does student-side work only.
     """
 
     teacher_probs: np.ndarray
@@ -138,8 +145,29 @@ def teacher_context(
     use_reliability: bool = True,
     score: str = "entropy",
 ) -> TeacherContext:
-    """Precompute the teacher-dependent parts of Algorithm 1 (see
-    :class:`TeacherContext`)."""
+    """Fix the settings of Algorithm 1 and precompute its teacher side.
+
+    Parameters
+    ----------
+    teacher_probs:
+        Softmax output ``H(x)`` of the teacher, shape ``(n, k)``.
+    labels:
+        Ground-truth labels (only rows in ``train_index`` are consulted:
+        a labeled node is reliable iff the *teacher* predicts its label —
+        see the module docstring for why not the student).
+    train_index:
+        Indices of the labeled set ``V_l``.
+    p:
+        Reliability percentile (paper default 40, Table 7 sweeps it).
+    use_reliability:
+        When False (the WNR ablation) every node is treated as reliable,
+        reducing RDD's node distillation to classic KD-style mimicry on
+        the student's most-uncertain rows.
+    score:
+        Uncertainty score used for both rank thresholds — ``"entropy"``
+        (the paper's), ``"margin"``, or ``"confidence"``
+        (see :mod:`repro.core.scores`).
+    """
     teacher_probs = np.asarray(teacher_probs)
     if teacher_probs.ndim != 2:
         raise ShapeError(f"teacher probs must be 2-D, got shape {teacher_probs.shape}")
@@ -169,54 +197,15 @@ def teacher_context(
     )
 
 
-def node_reliability(
-    teacher_probs: np.ndarray,
-    student_probs: np.ndarray,
-    labels: np.ndarray,
-    train_index: np.ndarray,
-    p: float = 40.0,
-    use_reliability: bool = True,
-    score: str = "entropy",
-    context: Optional[TeacherContext] = None,
-) -> ReliabilitySets:
-    """One update of Algorithm 1.
+def node_reliability(student_probs: np.ndarray, context: TeacherContext) -> ReliabilitySets:
+    """One update of Algorithm 1 for the student output ``h_e(x)``.
 
-    Parameters
-    ----------
-    teacher_probs / student_probs:
-        Softmax outputs ``H(x)`` and ``h_e(x)`` of shape ``(n, k)``.
-    labels:
-        Ground-truth labels (only rows in ``train_index`` are consulted:
-        a labeled node is reliable iff the *teacher* predicts its label —
-        see the module docstring for why not the student).
-    train_index:
-        Indices of the labeled set ``V_l``.
-    p:
-        Reliability percentile (paper default 40).
-    use_reliability:
-        When False (the WNR ablation) every node is treated as reliable,
-        reducing RDD's node distillation to classic KD-style mimicry on
-        the student's most-uncertain rows.
-    score:
-        Uncertainty score used for the rank thresholds — ``"entropy"``
-        (the paper's), ``"margin"``, or ``"confidence"``
-        (see :mod:`repro.core.scores`).
-    context:
-        Precomputed teacher-side constants from :func:`teacher_context`.
-        When given it supersedes ``teacher_probs`` and the
-        ``p``/``use_reliability``/``score`` arguments;
-        results are identical to passing the raw arguments, just cheaper
-        when the same frozen teacher drives many refreshes.
+    ``student_probs`` is the student's softmax output, shaped like the
+    teacher's.  Everything else — the teacher probabilities, ``p``, the
+    uncertainty score and ``use_reliability`` — comes from ``context``
+    (see :func:`teacher_context`), so both cuts of Alg. 1 use the same
+    settings.
     """
-    if context is None:
-        context = teacher_context(
-            teacher_probs,
-            labels,
-            train_index,
-            p=p,
-            use_reliability=use_reliability,
-            score=score,
-        )
     teacher_probs = context.teacher_probs
     student_probs = np.asarray(student_probs)
     if teacher_probs.shape != student_probs.shape or teacher_probs.ndim != 2:
@@ -243,8 +232,8 @@ def node_reliability(
         reliable = np.ones(n, dtype=bool)
 
     # V_b: reliable nodes whose *student* uncertainty is in the highest p%.
-    student_entropy = uncertainty_score(student_probs, score)
-    uncertain_student = entropy_threshold_mask(student_entropy, p, lowest=False)
+    student_uncertainty = uncertainty_score(student_probs, context.score)
+    uncertain_student = entropy_threshold_mask(student_uncertainty, context.p, lowest=False)
     distill = reliable & uncertain_student
     return ReliabilitySets(reliable_mask=reliable, distill_mask=distill)
 

@@ -224,14 +224,13 @@ def _format_cell(value) -> str:
 # ----------------------------------------------------------------------
 # Method runners (shared across tables)
 # ----------------------------------------------------------------------
-def run_single_gcn(graph: Graph, config: HarnessConfig, seed: int, num_layers: int = 2) -> TrainResult:
-    """Train one plain GCN (the "Single GCN" rows)."""
+def run_single_gcn(graph: Graph, config: HarnessConfig, seed: int) -> TrainResult:
+    """Train one plain 2-layer GCN (the "Single GCN" rows)."""
     model = GCN(
         graph.num_features,
         graph.num_classes,
         make_rng(seed),
         hidden=config.hidden,
-        num_layers=num_layers,
         dropout=config.dropout,
     )
     if config.sampler == "neighbor":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.ensemble import EnsembleModel, ensemble_weight
-from repro.core.reliability import node_reliability
+from repro.core.reliability import node_reliability, teacher_context
 from repro.evaluation.common import (
     ExperimentReport,
     HarnessConfig,
@@ -53,7 +53,9 @@ def run_purity(graph: Graph, config: HarnessConfig, seed: int) -> Tuple[float, f
     student_probs = softmax_rows(student.predict_logits(graph))
 
     correct = teacher_probs.argmax(axis=1) == graph.labels
-    sets = node_reliability(teacher_probs, student_probs, graph.labels, graph.train_index, p=40.0)
+    sets = node_reliability(
+        student_probs, teacher_context(teacher_probs, graph.labels, graph.train_index, p=40.0)
+    )
     vb = sets.distill_index
     rdd_purity = float(correct[vb].mean()) if len(vb) else float("nan")
     # KD distills every node's teacher output.

@@ -137,13 +137,6 @@ class Graph:
         return int(self.labels.max()) + 1
 
     @property
-    def unlabeled_index(self) -> np.ndarray:
-        """All nodes not in the training set (paper's V_u)."""
-        mask = np.ones(self.num_nodes, dtype=bool)
-        mask[self.train_index] = False
-        return np.flatnonzero(mask)
-
-    @property
     def label_rate(self) -> float:
         """Fraction of nodes whose labels are visible during training."""
         return len(self.train_index) / self.num_nodes
@@ -199,24 +192,20 @@ class Graph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def with_split(
-        self,
-        train_index: np.ndarray,
-        val_index: Optional[np.ndarray] = None,
-        test_index: Optional[np.ndarray] = None,
-    ) -> "Graph":
-        """A view of this graph with a different train/val/test split.
+    def with_split(self, train_index: np.ndarray) -> "Graph":
+        """A view of this graph with a different training set.
 
-        Cached artifacts (normalization, PageRank) are carried over since
-        they only depend on the structure.
+        Validation and test sets are kept.  Cached artifacts
+        (normalization, PageRank) are carried over since they only
+        depend on the structure.
         """
         clone = Graph(
             self.adjacency,
             self.features,
             self.labels,
             train_index,
-            self.val_index if val_index is None else val_index,
-            self.test_index if test_index is None else test_index,
+            self.val_index,
+            self.test_index,
             name=self.name,
         )
         clone._normalized = self._normalized

@@ -8,10 +8,10 @@ import scipy.sparse as sp
 from repro.errors import GraphError
 
 
-def add_self_loops(adjacency: sp.spmatrix, weight: float = 1.0) -> sp.csr_matrix:
-    """Return ``A + weight * I`` (paper's ``Ã``)."""
+def add_self_loops(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """Return ``A + I`` (paper's ``Ã``)."""
     adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
-    return (adjacency + weight * sp.identity(adjacency.shape[0], format="csr")).tocsr()
+    return (adjacency + sp.identity(adjacency.shape[0], format="csr")).tocsr()
 
 
 def gcn_normalize(adjacency: sp.spmatrix) -> sp.csr_matrix:

@@ -14,33 +14,21 @@ import scipy.sparse as sp
 from repro.errors import GraphError
 
 
-def pagerank(
-    adjacency: sp.spmatrix,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+# The classical teleport-complement factor, the L1 convergence tolerance
+# between successive iterates, and the iteration budget (convergence
+# normally needs far fewer).
+DAMPING = 0.85
+TOL = 1e-10
+MAX_ITER = 200
+
+
+def pagerank(adjacency: sp.spmatrix) -> np.ndarray:
     """PageRank scores of an (undirected or directed) adjacency matrix.
 
-    Parameters
-    ----------
-    adjacency:
-        Sparse adjacency; rows are sources, columns destinations.
-    damping:
-        Teleport-complement factor in (0, 1); 0.85 is the classical choice.
-    tol:
-        L1 convergence tolerance between successive iterates.
-    max_iter:
-        Iteration budget; convergence normally needs far fewer.
-
-    Teleports are uniform over the nodes.
-
-    Returns
-    -------
-    ndarray summing to 1 with one score per node.
+    ``adjacency`` is sparse with rows as sources and columns as
+    destinations.  Damping is 0.85 and teleports are uniform over the
+    nodes.  Returns an ndarray summing to 1 with one score per node.
     """
-    if not 0.0 < damping < 1.0:
-        raise GraphError(f"damping must be in (0, 1), got {damping}")
     adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
     n = adjacency.shape[0]
     if n == 0:
@@ -53,10 +41,10 @@ def pagerank(
 
     teleport = np.full(n, 1.0 / n)
     rank = teleport.copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         dangling_mass = rank[dangling].sum()
-        new_rank = damping * (transition.T @ rank + dangling_mass * teleport) + (1.0 - damping) * teleport
-        if np.abs(new_rank - rank).sum() < tol:
+        new_rank = DAMPING * (transition.T @ rank + dangling_mass * teleport) + (1.0 - DAMPING) * teleport
+        if np.abs(new_rank - rank).sum() < TOL:
             return new_rank
         rank = new_rank
     return rank

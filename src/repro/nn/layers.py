@@ -35,51 +35,48 @@ def _raw_data(x: FeatureInput):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _affine_inference(x: FeatureInput, weight: Parameter, bias) -> np.ndarray:
-    """Raw-numpy ``x @ W (+ b)``; the product is fresh so the bias add is
-    safe to do in place (bitwise identical to the ops path)."""
+def _feature_product(x: FeatureInput, weight: Parameter) -> np.ndarray:
+    """Raw-numpy ``x @ W`` for inference.  The product is a fresh array,
+    so adding the bias to it in place is bitwise identical to the ops
+    path."""
     data = _raw_data(x)
     if sp.issparse(data):
-        out = sparse_dense_matmul(data.tocsr(), weight.data)
-    else:
-        out = data @ weight.data
-    if bias is not None:
-        out += bias.data
-    return out
+        return sparse_dense_matmul(data.tocsr(), weight.data)
+    return data @ weight.data
 
 
 class Linear(Module):
     """Affine layer ``y = x W + b``."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.glorot_uniform(rng, in_features, out_features), name="weight")
-        self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
+        self.bias = Parameter(init.zeros(out_features), name="bias")
 
     def forward(self, x: FeatureInput) -> Tensor:
         if not is_grad_enabled():
-            return Tensor._from_array(_affine_inference(x, self.weight, self.bias))
+            out = _feature_product(x, self.weight)
+            out += self.bias.data
+            return Tensor._from_array(out)
         return fused.linear(x, self.weight, self.bias)
 
 
 class GraphConvolution(Module):
     """One GCN layer: ``Â (X W) + b`` with ``Â`` a constant sparse matrix."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.glorot_uniform(rng, in_features, out_features), name="weight")
-        self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
+        self.bias = Parameter(init.zeros(out_features), name="bias")
 
     def forward(self, adjacency: sp.spmatrix, x: FeatureInput) -> Tensor:
         if not is_grad_enabled():
-            support = _affine_inference(x, self.weight, None)
-            out = sparse_dense_matmul(adjacency.tocsr(), support)
-            if self.bias is not None:
-                out += self.bias.data
+            out = sparse_dense_matmul(adjacency.tocsr(), _feature_product(x, self.weight))
+            out += self.bias.data
             return Tensor._from_array(out)
         return fused.gcn_layer(adjacency, x, self.weight, self.bias)
 
@@ -93,17 +90,10 @@ class GraphAttention(Module):
     neighbor features.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        negative_slope: float = 0.2,
-    ):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.negative_slope = negative_slope
         self.weight = Parameter(init.glorot_uniform(rng, in_features, out_features), name="weight")
         self.attn_src = Parameter(init.glorot_uniform(rng, out_features, 1), name="attn_src")
         self.attn_dst = Parameter(init.glorot_uniform(rng, out_features, 1), name="attn_dst")
@@ -118,9 +108,9 @@ class GraphAttention(Module):
         h = _feature_matmul(x, self.weight)
         score_src = ops.matmul(h, self.attn_src)  # (n, 1)
         score_dst = ops.matmul(h, self.attn_dst)
+        # LeakyReLU at the op's default slope 0.2, GAT's value.
         logits = ops.leaky_relu(
-            ops.add(ops.gather(score_src, edge_src), ops.gather(score_dst, edge_dst)),
-            self.negative_slope,
+            ops.add(ops.gather(score_src, edge_src), ops.gather(score_dst, edge_dst))
         )
         weights = _segment_softmax(logits, edge_dst, num_nodes)
         messages = ops.mul(ops.gather(h, edge_src), weights)

@@ -21,6 +21,12 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 def _check_rates(lr: float, weight_decay: float) -> None:
     """Reject rates that would train without error but diverge or do
     nothing (``lr=nan`` passes a plain ``lr <= 0`` check)."""
@@ -41,8 +47,6 @@ class Adam:
         self,
         parameters: Iterable[Parameter],
         lr: float = 0.01,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.parameters: List[Parameter] = list(parameters)
@@ -50,8 +54,6 @@ class Adam:
             raise ValueError("optimizer received no parameters")
         _check_rates(lr, weight_decay)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -75,8 +77,8 @@ class Adam:
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         for param in self.parameters:
             if param.grad is None:
                 continue
@@ -94,14 +96,14 @@ class Adam:
             if v is None:
                 v = self._second_moment[id(param)] = np.zeros_like(param.data)
             # m = beta1*m + (1-beta1)*grad
-            np.multiply(grad, 1.0 - self.beta1, out=buf_b)
-            m *= self.beta1
+            np.multiply(grad, 1.0 - BETA1, out=buf_b)
+            m *= BETA1
             m += buf_b
             # v = beta2*v + ((1-beta2)*grad)*grad  — same left-association
             # as the allocating `(1-beta2) * grad * grad`.
-            np.multiply(grad, 1.0 - self.beta2, out=buf_b)
+            np.multiply(grad, 1.0 - BETA2, out=buf_b)
             buf_b *= grad
-            v *= self.beta2
+            v *= BETA2
             v += buf_b
             # update = (lr * (m/bias1)) / (sqrt(v/bias2) + eps); grad (an
             # alias of buf_a when decayed) is dead past this point.
@@ -109,6 +111,6 @@ class Adam:
             np.multiply(buf_a, self.lr, out=buf_a)
             np.divide(v, bias2, out=buf_b)
             np.sqrt(buf_b, out=buf_b)
-            buf_b += self.eps
+            buf_b += EPS
             buf_a /= buf_b
             param.data -= buf_a

@@ -30,6 +30,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+# Observations each histogram retains for its percentiles.
+WINDOW = 8192
+
 
 class WindowHistogram:
     """Fixed-capacity ring buffer with percentile summaries.
@@ -39,21 +42,18 @@ class WindowHistogram:
     reads the ring-buffer list that ``add`` mutates.
     """
 
-    def __init__(self, window: int = 8192):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._window = window
+    def __init__(self):
         self._values: List[float] = []
         self._next = 0
         self._count = 0  # total observations ever, not just the window
 
     def add(self, value: float) -> None:
         self._count += 1
-        if len(self._values) < self._window:
+        if len(self._values) < WINDOW:
             self._values.append(float(value))
         else:
             self._values[self._next] = float(value)
-            self._next = (self._next + 1) % self._window
+            self._next = (self._next + 1) % WINDOW
 
     def summary(self) -> dict:
         if not self._values:
@@ -75,10 +75,9 @@ class WindowHistogram:
 class MetricRegistry:
     """Thread-safe counters + histograms for one process."""
 
-    def __init__(self, window: int = 8192):
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._window = window
         self._histograms: Dict[str, WindowHistogram] = {}
 
     # -- counters ------------------------------------------------------
@@ -95,7 +94,7 @@ class MetricRegistry:
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
-                histogram = self._histograms[name] = WindowHistogram(self._window)
+                histogram = self._histograms[name] = WindowHistogram()
             histogram.add(value)
 
     # -- export --------------------------------------------------------

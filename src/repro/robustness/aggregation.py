@@ -12,11 +12,12 @@ existing tensor ops:
     The soft weighted median: per node, compute the weighted
     dimension-wise median of the (transformed) neighbor embeddings,
     then downweight each neighbor by a softmax over its negative
-    distance to that median, ``c_j ∝ exp(-‖x_j - med‖ / (T·√d))``.
-    The reweighted row is rescaled to the original ``Â`` row mass, so
-    with ``T → ∞`` the layer degenerates to vanilla GCN.
+    distance to that median, ``c_j ∝ exp(-‖x_j - med‖ / (T·√d))`` at
+    temperature ``T = 1``.  The reweighted row is rescaled to the
+    original ``Â`` row mass (as ``T → ∞`` the layer would degenerate to
+    vanilla GCN).
 ``trimmed_mean``
-    Per node, drop the ``trim`` fraction of neighbors farthest (in L2)
+    Per node, drop the 45% of neighbors farthest (in L2)
     from the weighted neighborhood mean — per *node*, not per
     coordinate, a deliberate simplification that keeps the estimator
     one CSR reweighting — and rescale the survivors to the original
@@ -61,8 +62,15 @@ __all__ = [
     "trimmed_mean_weights",
 ]
 
-# Neighbor-aggregation variants: "gcn" is the paper's weighted mean.
-AGGREGATIONS = ("gcn", "soft_median", "trimmed_mean")
+# Robust neighbor-aggregation variants (the paper's weighted mean is
+# the plain GCN).
+AGGREGATIONS = ("soft_median", "trimmed_mean")
+
+# Soft-median temperature, and the fraction of each neighborhood the
+# trimmed mean drops (it must stay below one half, or the estimator
+# would discard a majority of honest neighbors).
+TEMPERATURE = 1.0
+TRIM = 0.45
 
 
 def _weighted_dimwise_median(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -83,9 +91,7 @@ def _weighted_dimwise_median(values: np.ndarray, weights: np.ndarray) -> np.ndar
     return values[order[first_crossing, cols], cols]
 
 
-def soft_median_weights(
-    base: sp.csr_matrix, h: np.ndarray, temperature: float = 1.0
-) -> sp.csr_matrix:
+def soft_median_weights(base: sp.csr_matrix, h: np.ndarray) -> sp.csr_matrix:
     """Soft-median reweighting of ``base`` (``Â``) against embeddings ``h``.
 
     Per row: softmax of negative distances to the weighted dim-wise
@@ -93,10 +99,8 @@ def soft_median_weights(
     original row mass.  Structure is shared with ``base``; only the data
     array is new.
     """
-    if temperature <= 0.0:
-        raise ConfigError(f"soft_median temperature must be > 0, got {temperature}")
     h = np.asarray(h, dtype=np.float64)
-    scale = temperature * np.sqrt(h.shape[1])
+    scale = TEMPERATURE * np.sqrt(h.shape[1])
     indptr, indices = base.indptr, base.indices
     data = base.data.astype(np.float64)
     new_data = data.copy()
@@ -123,18 +127,13 @@ def soft_median_weights(
     )
 
 
-def trimmed_mean_weights(
-    base: sp.csr_matrix, h: np.ndarray, trim: float = 0.45
-) -> sp.csr_matrix:
-    """Trimmed-mean reweighting: zero the farthest ``trim`` fraction per row.
+def trimmed_mean_weights(base: sp.csr_matrix, h: np.ndarray) -> sp.csr_matrix:
+    """Trimmed-mean reweighting: zero the farthest :data:`TRIM` fraction per row.
 
     Distances are to the weighted neighborhood mean; the diagonal
     (self-loop) entry is exempt from trimming; survivors are rescaled to
-    the original row mass.  ``trim`` must lie in ``[0, 0.5)`` — at one
-    half the estimator would discard a majority of honest neighbors.
+    the original row mass.
     """
-    if not 0.0 <= trim < 0.5:
-        raise ConfigError(f"trim fraction must be in [0, 0.5), got {trim}")
     h = np.asarray(h, dtype=np.float64)
     indptr, indices = base.indptr, base.indices
     data = base.data.astype(np.float64)
@@ -142,7 +141,7 @@ def trimmed_mean_weights(
     for row in range(base.shape[0]):
         lo, hi = int(indptr[row]), int(indptr[row + 1])
         degree = hi - lo
-        num_drop = int(np.floor(trim * (degree - 1))) if degree > 1 else 0
+        num_drop = int(np.floor(TRIM * (degree - 1))) if degree > 1 else 0
         if num_drop == 0:
             continue
         cols = indices[lo:hi]
@@ -164,20 +163,12 @@ def trimmed_mean_weights(
     )
 
 
-def robust_weights(
-    base: sp.csr_matrix,
-    h: np.ndarray,
-    aggregation: str,
-    temperature: float = 1.0,
-    trim: float = 0.45,
-) -> sp.csr_matrix:
-    """Dispatch to the named robust reweighting (``"gcn"`` is identity)."""
-    if aggregation == "gcn":
-        return base
+def robust_weights(base: sp.csr_matrix, h: np.ndarray, aggregation: str) -> sp.csr_matrix:
+    """Dispatch to the named robust reweighting (see :data:`AGGREGATIONS`)."""
     if aggregation == "soft_median":
-        return soft_median_weights(base, h, temperature=temperature)
+        return soft_median_weights(base, h)
     if aggregation == "trimmed_mean":
-        return trimmed_mean_weights(base, h, trim=trim)
+        return trimmed_mean_weights(base, h)
     raise ConfigError(
         f"unknown aggregation {aggregation!r}; choose from {list(AGGREGATIONS)}"
     )
@@ -198,9 +189,6 @@ class RobustGraphConvolution(Module):
         out_features: int,
         rng: np.random.Generator,
         aggregation: str = "soft_median",
-        temperature: float = 1.0,
-        trim: float = 0.45,
-        bias: bool = True,
     ):
         super().__init__()
         if aggregation not in AGGREGATIONS:
@@ -210,12 +198,10 @@ class RobustGraphConvolution(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.aggregation = aggregation
-        self.temperature = temperature
-        self.trim = trim
         self.weight = Parameter(
             init.glorot_uniform(rng, in_features, out_features), name="weight"
         )
-        self.bias = Parameter(init.zeros(out_features), name="bias") if bias else None
+        self.bias = Parameter(init.zeros(out_features), name="bias")
 
     def forward(self, adjacency: sp.spmatrix, x) -> Tensor:
         """``adjacency`` is the GCN-normalized ``Â`` (CSR, self-loops in)."""
@@ -226,24 +212,16 @@ class RobustGraphConvolution(Module):
                 support = sparse_dense_matmul(data.tocsr(), self.weight.data)
             else:
                 support = data @ self.weight.data
-            propagation = robust_weights(
-                base, support, self.aggregation, self.temperature, self.trim
-            )
+            propagation = robust_weights(base, support, self.aggregation)
             out = sparse_dense_matmul(propagation, support)
-            if self.bias is not None:
-                out += self.bias.data
+            out += self.bias.data
             return Tensor._from_array(out)
         if sp.issparse(x):
             support = sparse_feature_matmul(x, self.weight)
         else:
             support = ops.matmul(as_tensor(x), self.weight)
-        propagation = robust_weights(
-            base, support.data, self.aggregation, self.temperature, self.trim
-        )
-        out = spmm(propagation, support)
-        if self.bias is not None:
-            out = ops.add(out, self.bias)
-        return out
+        propagation = robust_weights(base, support.data, self.aggregation)
+        return ops.add(spmm(propagation, support), self.bias)
 
 
 class RobustGCN(GCN):
@@ -264,13 +242,9 @@ class RobustGCN(GCN):
         num_layers: int = 2,
         dropout: float = 0.5,
         aggregation: str = "soft_median",
-        temperature: float = 1.0,
-        trim: float = 0.45,
     ):
         # Set before GCN.__init__, which builds the layers through _layer.
         self.aggregation = aggregation
-        self.temperature = temperature
-        self.trim = trim
         super().__init__(
             num_features, num_classes, rng, hidden=hidden, num_layers=num_layers, dropout=dropout
         )
@@ -278,11 +252,4 @@ class RobustGCN(GCN):
     def _layer(
         self, in_features: int, out_features: int, rng: np.random.Generator
     ) -> RobustGraphConvolution:
-        return RobustGraphConvolution(
-            in_features,
-            out_features,
-            rng,
-            aggregation=self.aggregation,
-            temperature=self.temperature,
-            trim=self.trim,
-        )
+        return RobustGraphConvolution(in_features, out_features, rng, aggregation=self.aggregation)

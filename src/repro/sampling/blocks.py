@@ -152,11 +152,10 @@ class BlockBuilder:
     fanouts:
         Per-layer fanouts ordered from the *output* layer inward
         (``fanouts[0]`` samples the last layer's neighbors).
-    seed / rng:
+    rng:
         Sampling stream; full-fanout builds consume no randomness.
-    weights:
-        Optional per-node neighbor-selection weights (RDD reliability
-        prioritization); see :meth:`NeighborSampler.set_weights`.
+        Neighbor selection is uniform until :meth:`set_weights` installs
+        per-node weights (RDD reliability prioritization).
     dtype:
         Dtype of the block values.  They are computed in float64 and
         cast once as they are written, just as ``Graph.astype`` casts
@@ -168,9 +167,7 @@ class BlockBuilder:
         self,
         adjacency: sp.spmatrix,
         fanouts: Sequence[int],
-        seed: int = 0,
-        rng: Optional[np.random.Generator] = None,
-        weights: Optional[np.ndarray] = None,
+        rng: np.random.Generator,
         dtype=np.float64,
     ):
         fanouts = tuple(int(f) for f in fanouts)
@@ -180,7 +177,7 @@ class BlockBuilder:
             raise GraphError(f"fanouts must all be >= 1, got {fanouts}")
         self.fanouts = fanouts
         self.dtype = np.dtype(dtype)
-        self.sampler = NeighborSampler(adjacency, seed=seed, rng=rng, weights=weights)
+        self.sampler = NeighborSampler(adjacency, rng)
         # Global D̂^{-1/2} with d̂ = degree + 1, computed with the same
         # float expression as gcn_normalize so block entries can be
         # bitwise equal to the global Â at full fanout.  Row sums equal

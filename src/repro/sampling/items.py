@@ -30,24 +30,18 @@ class ItemSampler:
     batch_size:
         Seeds per batch; the final batch of an epoch may be smaller
         (never dropped — every seed is visited exactly once per epoch).
-    seed / rng:
+    rng:
         Shuffle stream, independent of neighbor-sampling randomness.
     """
 
-    def __init__(
-        self,
-        index: np.ndarray,
-        batch_size: int,
-        seed: int = 0,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, index: np.ndarray, batch_size: int, rng: np.random.Generator):
         if batch_size < 1:
             raise GraphError(f"batch_size must be >= 1, got {batch_size}")
         self.index = np.asarray(index, dtype=np.int64)
         if self.index.ndim != 1 or self.index.size == 0:
             raise GraphError("ItemSampler needs a non-empty 1-D node index")
         self.batch_size = int(batch_size)
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = rng
 
     def __len__(self) -> int:
         return -(-len(self.index) // self.batch_size)

@@ -211,38 +211,27 @@ class NeighborSampler:
 
     Caches the CSR structure arrays (and, for block building, the
     self-loop-augmented degree vector) so repeated per-batch sampling
-    touches no scipy container machinery.  Deterministic: the instance
-    owns a seeded :class:`numpy.random.Generator`, and full-fanout calls
-    never consume randomness.
+    touches no scipy container machinery.  Deterministic: every draw
+    comes from the generator ``rng``, and full-fanout calls never consume
+    randomness.  Sampling is uniform until :meth:`set_weights` installs
+    per-node weights.
 
     Parameters
     ----------
     adjacency:
         Symmetric scipy sparse adjacency (zero diagonal).
-    seed:
-        Seed for the sampling stream (ignored when ``rng`` is given).
     rng:
-        Explicit generator to draw from instead of a fresh seeded one.
-    weights:
-        Optional per-node positive sampling weights (see
-        :meth:`set_weights`).
+        The generator every sample draws from
+        (``np.random.default_rng(seed)`` for a seeded stream).
     """
 
-    def __init__(
-        self,
-        adjacency: sp.spmatrix,
-        seed: int = 0,
-        rng: Optional[np.random.Generator] = None,
-        weights: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, adjacency: sp.spmatrix, rng: np.random.Generator):
         csr = adjacency.tocsr()
         self.num_nodes = csr.shape[0]
         self.indptr = csr.indptr.astype(np.int64, copy=False)
         self.indices = csr.indices.astype(np.int64, copy=False)
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = rng
         self._weights: Optional[np.ndarray] = None
-        if weights is not None:
-            self.set_weights(weights)
 
     def set_weights(self, weights: Optional[np.ndarray]) -> None:
         """Install (or clear, with ``None``) per-node sampling weights.
@@ -289,7 +278,7 @@ def layerwise_neighborhood(
     blocks.  Deterministic for a given ``rng`` state; neighbors are
     sampled uniformly.
     """
-    sampler = NeighborSampler(adjacency, rng=rng)
+    sampler = NeighborSampler(adjacency, rng)
     context = check_node_ids(unique_ids(np.asarray(seeds)), sampler.num_nodes, "seeds")
     frontier = context
     for _ in range(num_hops):

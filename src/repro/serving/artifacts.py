@@ -10,8 +10,8 @@ bundles all of that in one file:
   (:func:`model_kinds`) plus its hyperparameter options, so the exact module can be
   rebuilt on load;
 * the ``Module.state_dict()`` (or, for RDD teachers, the full
-  ``EnsembleModel.state()`` with per-member α-weights, optionally plus
-  each member's weights for inductive queries);
+  ``EnsembleModel.state()`` with per-member α-weights, plus each
+  member's spec and weights for inductive queries);
 * a structural fingerprint of the training graph, so an engine refuses
   to serve the weights against the wrong data;
 * the cached GCN-normalized adjacency ``Â``, so the serving process
@@ -173,7 +173,7 @@ def export_ensemble_artifact(
     path: PathLike,
     ensemble: EnsembleModel,
     graph: Graph,
-    members: Optional[Sequence[Tuple[ModelSpec, Dict[str, np.ndarray]]]] = None,
+    members: Sequence[Tuple[ModelSpec, Dict[str, np.ndarray]]],
     dataset: Optional[dict] = None,
     metadata: Optional[dict] = None,
 ) -> Path:
@@ -181,12 +181,12 @@ def export_ensemble_artifact(
 
     The :meth:`EnsembleModel.state` tables (per-member probs/logits and
     α-weights) fully determine transductive predictions.  ``members`` —
-    optional ``(spec, state_dict)`` pairs, one per base model in order —
-    additionally enable inductive queries, which must re-run the member
-    forward passes on a query subgraph.
+    ``(spec, state_dict)`` pairs, one per base model in order — serve
+    inductive queries, which re-run the member forward passes on a query
+    subgraph.
     """
     state = ensemble.state()
-    if members is not None and len(members) != len(state["weights"]):
+    if len(members) != len(state["weights"]):
         raise ArtifactError(
             f"{len(members)} member specs for an ensemble of {len(state['weights'])}"
         )
@@ -201,17 +201,13 @@ def export_ensemble_artifact(
         "dataset": dataset,
         "metadata": metadata or {},
         "ensemble": state,
-        "members": (
-            None
-            if members is None
-            else [
-                {"spec": {"kind": spec.kind, "options": dict(spec.options)}, "state_dict": sd}
-                for spec, sd in members
-            ]
-        ),
+        "members": [
+            {"spec": {"kind": spec.kind, "options": dict(spec.options)}, "state_dict": sd}
+            for spec, sd in members
+        ],
     }
-    for member in payload["members"] or []:
-        _resolve_kind(member["spec"]["kind"])
+    for spec, _ in members:
+        _resolve_kind(spec.kind)
     path = Path(path)
     write_checkpoint(path, payload)
     return path
@@ -294,11 +290,6 @@ class ModelArtifact:
         """Rebuild every ensemble member module (for inductive queries)."""
         if not self.is_ensemble:
             raise ArtifactError("this is a single-model artifact; use build_model()")
-        if self.members is None:
-            raise ArtifactError(
-                "this ensemble artifact stores only transductive prediction tables; "
-                "re-export with members=[(spec, state_dict), ...] for inductive serving"
-            )
         models = []
         for member in self.members:
             spec = ModelSpec(member["spec"]["kind"], dict(member["spec"]["options"]))

@@ -78,9 +78,7 @@ class RowRefresher:
 
     def __init__(self, model, dtype):
         self._weights = [layer.weight.data for layer in model.layers]
-        self._biases = [
-            None if layer.bias is None else layer.bias.data for layer in model.layers
-        ]
+        self._biases = [layer.bias.data for layer in model.layers]
         self.dtype = np.dtype(dtype)
         self._supports: Optional[List[np.ndarray]] = None
         self._hidden: Optional[List[np.ndarray]] = None
@@ -122,8 +120,7 @@ class RowRefresher:
     ) -> np.ndarray:
         matrix = adjacency if rows is None else take_rows(adjacency, rows)
         out = sparse_dense_matmul(matrix, support)
-        if bias is not None:
-            out += bias
+        out += bias
         if relu:
             np.maximum(out, 0.0, out=out)
         return out

@@ -69,20 +69,14 @@ def masked_cross_entropy(log_probs: Tensor, labels: np.ndarray, index: np.ndarra
     return cross_entropy(rows, np.asarray(labels)[index])
 
 
-def embedding_mse(student: Tensor, teacher: np.ndarray, index: Optional[np.ndarray] = None) -> Tensor:
+def embedding_mse(student: Tensor, teacher: np.ndarray) -> Tensor:
     """Distillation loss ``L2``: mean squared embedding distance (Eq. 7).
 
-    Matches the student's (pre-softmax) embeddings to the teacher's on the
-    rows in ``index`` (all rows when None).  The teacher side is a constant
-    ndarray — gradients only flow into the student.
+    Matches the student's (pre-softmax) embedding rows to the teacher's
+    (callers gather the distilled rows first).  The teacher side is a
+    constant ndarray — gradients only flow into the student.
     """
     teacher = np.asarray(teacher, dtype=get_default_dtype())
-    if index is not None:
-        index = np.asarray(index, dtype=np.int64)
-        if index.size == 0:
-            return Tensor(0.0)
-        student = ops.gather(student, index)
-        teacher = teacher[index]
     if student.shape != teacher.shape:
         raise ShapeError(f"embedding_mse shapes mismatch: {student.shape} vs {teacher.shape}")
     diff = ops.sub(student, Tensor(teacher))
@@ -125,15 +119,15 @@ def kl_divergence(student_log_probs: Tensor, teacher_probs: np.ndarray) -> Tenso
     return ops.mean(per_row)
 
 
-def entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shannon entropy ``-sum p log p`` of probability rows (plain numpy).
+def entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy ``-sum p log p`` of each probability row (plain numpy).
 
     Used for reliability scoring (Alg. 1) and ensemble weighting (Eq. 11);
     these consume detached predictions, so no autodiff is needed.
     """
     probs = np.asarray(probs, dtype=get_default_dtype())
     clipped = np.clip(probs, _EPS, 1.0)
-    return -(probs * np.log(clipped)).sum(axis=axis)
+    return -(probs * np.log(clipped)).sum(axis=-1)
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, index: Optional[np.ndarray] = None) -> float:

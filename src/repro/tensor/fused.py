@@ -126,7 +126,7 @@ def softmax_cross_entropy(
 FeatureOperand = Union[Tensor, np.ndarray, sp.spmatrix, ArrayLike]
 
 
-def linear(x: FeatureOperand, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: FeatureOperand, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ W + b`` as a single tape node.
 
     ``x`` may be a dense tensor/array (gradients flow into it when taped)
@@ -149,16 +149,15 @@ def linear(x: FeatureOperand, weight: Tensor, bias: Optional[Tensor] = None) -> 
             raise ShapeError(f"matmul expects 2-D operands, got {x_t.shape} @ {weight.shape}")
         out = x_t.data @ weight.data
         parents = (x_t, weight)
-    if bias is not None:
-        # `out` is freshly allocated above, so the in-place add is safe
-        # and bitwise equal to the allocating `out + bias`.
-        out += bias.data
-        parents = parents + (bias,)
+    # `out` is freshly allocated above, so the in-place add is safe and
+    # bitwise equal to the allocating `out + bias`.
+    out += bias.data
+    parents = parents + (bias,)
 
     def backward(grad: np.ndarray) -> None:
         # Same leaf order as the elementary chain: the add node fires
         # first (bias), then the matmul node (x, then W).
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(grad)
         if x_t is not None and x_t.requires_grad:
             x_t._accumulate(grad @ weight.data.T)
@@ -175,7 +174,7 @@ def gcn_layer(
     adjacency: sp.spmatrix,
     x: FeatureOperand,
     weight: Tensor,
-    bias: Optional[Tensor] = None,
+    bias: Tensor,
 ) -> Tensor:
     """One GCN propagation ``Â (x W) + b`` as a single tape node.
 
@@ -205,14 +204,13 @@ def gcn_layer(
     if adj_csr.shape[1] != support.shape[0]:
         raise ShapeError(f"spmm shape mismatch: {adj_csr.shape} @ {support.shape}")
     out = sparse_dense_matmul(adj_csr, support)
-    if bias is not None:
-        out += bias.data  # fresh array: in-place add is bitwise safe
-        parents = parents + (bias,)
+    out += bias.data  # fresh array: in-place add is bitwise safe
+    parents = parents + (bias,)
 
     def backward(grad: np.ndarray) -> None:
         # Leaf order matches the elementary chain: add node (bias),
         # spmm node (support), matmul node (x, then W).
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(grad)
         grad_support = sparse_dense_matmul(cached_transpose(adj_csr), grad)
         if x_t is not None and x_t.requires_grad:

@@ -42,9 +42,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "dropout",
-    "where",
-    "abs_",
-    "sqrt",
     "clip",
 ]
 
@@ -414,30 +411,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = T
     return Tensor._make(out_data, (a,), backward)
 
 
-def abs_(a: Tensor) -> Tensor:
-    """Elementwise absolute value; gradient is sign(a) (0 at 0)."""
-    a = as_tensor(a)
-    out_data = np.abs(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * np.sign(a.data))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root (inputs must be nonnegative)."""
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * 0.5 / np.maximum(out_data, 1e-300))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 def clip(a: Tensor, low: float, high: float) -> Tensor:
     """Clamp values to [low, high]; gradient flows only inside the range."""
     if low > high:
@@ -451,21 +424,3 @@ def clip(a: Tensor, low: float, high: float) -> Tensor:
             a._accumulate(grad * inside)
 
     return Tensor._make(out_data, (a,), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select from ``a`` where ``condition`` holds, else from ``b``.
-
-    ``condition`` is a plain boolean array (not differentiable).
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    out_data = np.where(condition, a.data, b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * condition)
-        if b.requires_grad:
-            b._accumulate(grad * ~condition)
-
-    return Tensor._make(out_data, (a, b), backward)

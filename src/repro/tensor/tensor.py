@@ -235,12 +235,6 @@ class Tensor:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing this data but cut from the tape."""
-        out = Tensor._from_array(self.data)
-        out.name = self.name
-        return out
-
     def copy(self) -> "Tensor":
         """Return a tape-free deep copy of this tensor."""
         out = Tensor._from_array(self.data.copy())

@@ -1,4 +1,4 @@
-"""Training loop, metrics, seeding, checkpointing, and result records."""
+"""Training loop, seeding, checkpointing, and result records."""
 
 from repro.training.checkpoint import (
     CheckpointError,
@@ -6,7 +6,6 @@ from repro.training.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.training.metrics import confusion_matrix, macro_f1
 from repro.training.parallel import TaskTimeout, parallel_map, reset_fallback_warnings
 from repro.training.records import EnsembleResult, TrainResult, results_bitwise_equal
 from repro.training.seed import make_rng, spawn_rngs

@@ -11,7 +11,7 @@ its last completed unit of work.  The storage contract:
 * **checksummed** — every file carries a header with a magic tag,
   format version, payload length, and SHA-256 digest.  The loader
   verifies all four and rejects truncated or bit-rotted files.
-* **versioned** — :class:`CheckpointStore` keeps the last ``keep``
+* **versioned** — :class:`CheckpointStore` keeps the last two
   generations per name (``name-000001.ckpt``, ``name-000002.ckpt`` …).
   If the newest generation fails validation the loader falls back to
   the previous valid one, so a crash *during* a checkpoint write can
@@ -52,6 +52,10 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct(">8sIQ32s")
 
 _GENERATION = re.compile(r"^(?P<name>.+)-(?P<gen>\d{6})\.ckpt$")
+
+# Generations retained per name: two, so the loader always has a
+# fallback when the newest file is damaged.
+KEEP = 2
 
 
 class CheckpointError(ReproError):
@@ -128,20 +132,12 @@ def _fsync_directory(directory: Path) -> None:
 class CheckpointStore:
     """Named, generation-rotated checkpoints under one directory.
 
-    Parameters
-    ----------
-    directory:
-        Where checkpoint files live (created on first save).
-    keep:
-        Generations retained per name (>= 2 so the loader always has a
-        fallback when the newest file is damaged).
+    ``directory`` is where checkpoint files live (created on first
+    save); each name keeps its last :data:`KEEP` generations.
     """
 
-    def __init__(self, directory: PathLike, keep: int = 2):
-        if keep < 1:
-            raise CheckpointError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory: PathLike):
         self.directory = Path(directory)
-        self.keep = keep
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -163,11 +159,6 @@ class CheckpointStore:
                 found.append((int(match.group("gen")), path))
         return [path for _, path in sorted(found)]
 
-    def latest_path(self, name: str) -> Optional[Path]:
-        """Newest generation file for ``name`` (validity not checked)."""
-        paths = self.generations(name)
-        return paths[-1] if paths else None
-
     # ------------------------------------------------------------------
     def save(self, name: str, data: object, fingerprint: object = None) -> Path:
         """Write the next generation for ``name``; prune old generations."""
@@ -178,7 +169,7 @@ class CheckpointStore:
             next_gen = int(_GENERATION.match(existing[-1].name).group("gen")) + 1
         path = self.directory / f"{self._safe(name)}-{next_gen:06d}.ckpt"
         write_checkpoint(path, {"fingerprint": fingerprint, "data": data})
-        for stale in self.generations(name)[: -self.keep]:
+        for stale in self.generations(name)[:-KEEP]:
             stale.unlink(missing_ok=True)
         return path
 

@@ -50,11 +50,6 @@ class EnsembleResult:
         return float(sum(self.base_test_accuracies) / len(self.base_test_accuracies))
 
     @property
-    def ensemble_gain(self) -> float:
-        """Ensemble accuracy minus average base accuracy (Table 6's "Gain")."""
-        return self.ensemble_test_accuracy - self.average_base_accuracy
-
-    @property
     def last_base_test_accuracy(self) -> float:
         """Test accuracy of the final base model (RDD's "single model")."""
         return self.base_test_accuracies[-1]

@@ -189,14 +189,14 @@ class SampledTrainer(Trainer):
             np.random.default_rng(s) for s in np.random.SeedSequence(self.sample_seed).spawn(2)
         )
         builder = BlockBuilder(
-            graph.adjacency, fanouts, rng=neighbor_rng, dtype=graph.normalized_adjacency().dtype
+            graph.adjacency, fanouts, neighbor_rng, dtype=graph.normalized_adjacency().dtype
         )
         obs_on = obs.enabled()
 
         def train_epoch(epoch: int, optimizer: Adam, arena: GradArena) -> Tuple[float, int]:
             plan = plan_fn(epoch) if plan_fn is not None else SamplingPlan(graph.train_index)
             builder.set_weights(plan.node_weights)
-            batches = ItemSampler(plan.seeds, self.batch_size, rng=shuffle_rng).epoch(
+            batches = ItemSampler(plan.seeds, self.batch_size, shuffle_rng).epoch(
                 weights=plan.seed_weights
             )
             total, steps = 0.0, 0

@@ -32,10 +32,6 @@ class GridSearchResult:
     best_result: TrainResult
     trials: List[Dict[str, object]] = field(default_factory=list)
 
-    @property
-    def num_trials(self) -> int:
-        return len(self.trials)
-
 
 def grid_cells(grid: Dict[str, Sequence]) -> List[Dict[str, object]]:
     """Expand a parameter grid into the list of all combinations."""

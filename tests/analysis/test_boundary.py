@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import boundary_mask, boundary_reliability_report
-from repro.core import node_reliability
+from repro.core import node_reliability, teacher_context
 from repro.errors import ShapeError
 from repro.graph import Graph, build_adjacency
 from repro.models import GCN
@@ -43,7 +43,8 @@ class TestBoundaryReliabilityReport:
         model = GCN(graph.num_features, graph.num_classes, make_rng(0), hidden=8)
         Trainer(max_epochs=60).fit(model, graph)
         probs = softmax_rows(model.predict_logits(graph))
-        sets = node_reliability(probs, probs, graph.labels, graph.train_index, p=40.0)
+        context = teacher_context(probs, graph.labels, graph.train_index, p=40.0)
+        sets = node_reliability(probs, context)
         return boundary_reliability_report(graph, sets, probs)
 
     def test_report_fields_well_formed(self, tiny_graph):
@@ -67,6 +68,7 @@ class TestBoundaryReliabilityReport:
     def test_shape_validation(self, tiny_graph):
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
         probs = softmax_rows(model.predict_logits(tiny_graph))
-        sets = node_reliability(probs, probs, tiny_graph.labels, tiny_graph.train_index)
+        context = teacher_context(probs, tiny_graph.labels, tiny_graph.train_index)
+        sets = node_reliability(probs, context)
         with pytest.raises(ShapeError):
             boundary_reliability_report(tiny_graph, sets, probs[:5])

@@ -10,7 +10,7 @@ from repro.analysis import (
     mean_pairwise_distance,
     node_reliability_quality,
 )
-from repro.core import node_reliability
+from repro.core import node_reliability, teacher_context
 from repro.errors import ShapeError
 from repro.models import GCN
 from repro.models.base import softmax_rows
@@ -53,7 +53,8 @@ class TestReliabilityQuality:
         model = GCN(graph.num_features, graph.num_classes, make_rng(0), hidden=8)
         Trainer(max_epochs=60).fit(model, graph)
         probs = softmax_rows(model.predict_logits(graph))
-        sets = node_reliability(probs, probs, graph.labels, graph.train_index, p=40.0)
+        context = teacher_context(probs, graph.labels, graph.train_index, p=40.0)
+        sets = node_reliability(probs, context)
         return probs, sets
 
     def test_reliable_nodes_are_more_accurate(self, tiny_graph):

@@ -30,13 +30,10 @@ class TestBagging:
         b = BaggingEnsemble(num_base_models=2, hidden=8, max_epochs=30).fit(tiny_graph, seed=5)
         assert a.base_test_accuracies == b.base_test_accuracies
 
-    def test_average_and_gain_properties(self, tiny_graph):
+    def test_average_base_accuracy_property(self, tiny_graph):
         result = BaggingEnsemble(num_base_models=3, hidden=8, max_epochs=40).fit(tiny_graph, seed=0)
         assert result.average_base_accuracy == pytest.approx(
             float(np.mean(result.base_test_accuracies))
-        )
-        assert result.ensemble_gain == pytest.approx(
-            result.ensemble_test_accuracy - result.average_base_accuracy
         )
 
     def test_models_to_reach(self, tiny_graph):

@@ -1,10 +1,8 @@
 """Tests for the Label Propagation baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import LabelPropagation
-from repro.errors import ConfigError
 from repro.tensor.functional import accuracy
 
 
@@ -25,21 +23,7 @@ class TestLabelPropagation:
         acc = accuracy(preds, tiny_graph.labels, tiny_graph.test_index)
         assert acc > 0.8
 
-    def test_alpha_validation(self):
-        with pytest.raises(ConfigError):
-            LabelPropagation(alpha=1.0)
-        with pytest.raises(ConfigError):
-            LabelPropagation(alpha=0.0)
-
     def test_deterministic(self, tiny_graph):
         a = LabelPropagation().predict_proba(tiny_graph)
         b = LabelPropagation().predict_proba(tiny_graph)
         np.testing.assert_allclose(a, b)
-
-    def test_higher_alpha_spreads_further(self, tiny_graph):
-        # With small alpha, unlabeled far nodes keep near-zero mass.
-        low = LabelPropagation(alpha=0.1).predict_proba(tiny_graph)
-        high = LabelPropagation(alpha=0.95).predict_proba(tiny_graph)
-        far_mass_low = low.sum(axis=1).min()
-        far_mass_high = high.sum(axis=1).min()
-        assert far_mass_high >= far_mass_low

@@ -91,15 +91,6 @@ class TestEnsembleModel:
         ens.add(probs, probs, 1.0)
         np.testing.assert_array_equal(ens.predict(), [0, 1])
 
-    def test_base_predictions(self):
-        ens = EnsembleModel()
-        a = np.array([[0.9, 0.1]])
-        b = np.array([[0.2, 0.8]])
-        ens.add(a, a, 1.0)
-        ens.add(b, b, 1.0)
-        np.testing.assert_array_equal(ens.base_predictions(0), [0])
-        np.testing.assert_array_equal(ens.base_predictions(1), [1])
-
     def test_len(self):
         ens = EnsembleModel()
         assert len(ens) == 0

@@ -10,6 +10,7 @@ from repro.core import (
     edge_reliability,
     ensemble_weight,
     node_reliability,
+    teacher_context,
     uniform_softmax_ensemble,
 )
 from repro.core.losses import RDDLossState, rdd_student_loss
@@ -64,7 +65,7 @@ class TestReliabilityPipelineProperties:
         student = random_probs(rng, n, k)
         labels = rng.integers(0, k, n)
         train = rng.choice(n, size=6, replace=False)
-        sets = node_reliability(teacher, student, labels, train, p=p)
+        sets = node_reliability(student, teacher_context(teacher, labels, train, p=p))
 
         m = 50
         src = rng.integers(0, n, m)

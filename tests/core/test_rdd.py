@@ -1,12 +1,16 @@
 """End-to-end tests of the RDD trainer (Algorithm 3)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import repro.core.rdd as rdd_module
 from repro.core import RDDConfig, RDDTrainer, train_rdd
 from repro.errors import ConfigError
 from repro.models import GAT
 from repro.tensor.functional import accuracy
+from tests.core.test_reliability import alg1_distill_mask
 
 
 def small_config(**overrides):
@@ -124,6 +128,36 @@ class TestAblations:
         uniform = train_rdd(tiny_graph, small_config(use_ensemble_weighting=False), seed=3)
         # Same students (same seeds/config up to weighting inside training).
         assert weighted.base_test_accuracies[0] == uniform.base_test_accuracies[0]
+
+
+class TestConfiguredReliabilityReachesVb:
+    """Every epoch's V_b is Alg. 1 at the configured p and score."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{"p": 80.0}, {"reliability_score": "margin"}], ids=["p80", "margin"]
+    )
+    def test_every_epoch_distill_set_matches_alg1(self, small_citation, monkeypatch, overrides):
+        original = rdd_module.node_reliability
+        signature = inspect.signature(original)
+        calls = []
+
+        def spy(*args, **kwargs):
+            sets = original(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((bound["student_probs"], bound["context"], sets))
+            return sets
+
+        monkeypatch.setattr(rdd_module, "node_reliability", spy)
+        config = small_config(num_base_models=3, max_epochs=12, patience=12, **overrides)
+        graph = small_citation
+        RDDTrainer(config).fit(graph, seed=0)
+        assert len(calls) == 2 * 12  # students 2 and 3, every epoch
+        for student, context, sets in calls:
+            expected = alg1_distill_mask(
+                context.teacher_probs, student, graph.labels, graph.train_index,
+                config.p, config.reliability_score,
+            )
+            np.testing.assert_array_equal(sets.distill_mask, expected)
 
 
 class TestGeneralizationGain:

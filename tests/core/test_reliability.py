@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ReliabilitySets, edge_reliability, entropy_threshold_mask, node_reliability
+from repro.core import (
+    ReliabilitySets,
+    edge_reliability,
+    entropy_threshold_mask,
+    node_reliability,
+    teacher_context,
+)
+from repro.core.scores import uncertainty_score
 from repro.errors import ConfigError, ShapeError
 
 
@@ -68,7 +75,7 @@ class TestNodeReliabilityLabeled:
         labels = np.array([0, 1, 2])
         teacher = probs_from_confidence([0.9, 0.9, 0.9], [0, 1, 0])  # node 2 wrong
         student = teacher.copy()
-        sets = node_reliability(teacher, student, labels, np.arange(3), p=100.0)
+        sets = node_reliability(student, teacher_context(teacher, labels, np.arange(3), p=100.0))
         assert sets.reliable_mask[0]
         assert sets.reliable_mask[1]
         assert not sets.reliable_mask[2]
@@ -77,7 +84,7 @@ class TestNodeReliabilityLabeled:
         labels = np.array([0])
         teacher = probs_from_confidence([0.9], [0])
         student = probs_from_confidence([0.9], [1])  # disagrees
-        sets = node_reliability(teacher, student, labels, np.array([0]), p=100.0)
+        sets = node_reliability(student, teacher_context(teacher, labels, np.array([0]), p=100.0))
         assert sets.reliable_mask[0]
 
 
@@ -88,7 +95,7 @@ class TestNodeReliabilityUnlabeled:
         # Nodes: 0 confident+agree, 1 confident+disagree, 2 unsure+agree, 3 unsure+disagree.
         teacher = probs_from_confidence([0.95, 0.95, 0.40, 0.40], [0, 0, 1, 1])
         student = probs_from_confidence([0.9, 0.9, 0.9, 0.9], [0, 2, 1, 2])
-        sets = node_reliability(teacher, student, labels, train, p=50.0)
+        sets = node_reliability(student, teacher_context(teacher, labels, train, p=50.0))
         assert sets.reliable_mask[0]
         assert not sets.reliable_mask[1]  # disagreement kills it
         assert not sets.reliable_mask[2]  # entropy too high (not in lowest 50%)
@@ -99,8 +106,9 @@ class TestNodeReliabilityUnlabeled:
         n = 100
         labels = np.zeros(n, dtype=np.int64)
         probs = rng.dirichlet(np.ones(3), size=n)
-        sets_small = node_reliability(probs, probs, labels, np.array([], dtype=np.int64), p=20.0)
-        sets_large = node_reliability(probs, probs, labels, np.array([], dtype=np.int64), p=80.0)
+        unlabeled = np.array([], dtype=np.int64)
+        sets_small = node_reliability(probs, teacher_context(probs, labels, unlabeled, p=20.0))
+        sets_large = node_reliability(probs, teacher_context(probs, labels, unlabeled, p=80.0))
         assert sets_small.num_reliable < sets_large.num_reliable
         # Monotonicity: the reliable set grows with p.
         assert np.all(sets_large.reliable_mask[sets_small.reliable_mask])
@@ -111,7 +119,7 @@ class TestNodeReliabilityUnlabeled:
         labels = rng.integers(0, 3, n)
         teacher = rng.dirichlet(np.ones(3), size=n)
         student = rng.dirichlet(np.ones(3), size=n)
-        sets = node_reliability(teacher, student, labels, np.arange(10), p=40.0)
+        sets = node_reliability(student, teacher_context(teacher, labels, np.arange(10), p=40.0))
         assert np.all(sets.reliable_mask[sets.distill_mask])
 
     def test_distill_set_targets_uncertain_students(self):
@@ -121,7 +129,7 @@ class TestNodeReliabilityUnlabeled:
         teacher = probs_from_confidence([0.99, 0.98, 0.97, 0.96], [0, 0, 0, 0])
         # Student agrees everywhere; unsure on nodes 1 and 3.
         student = probs_from_confidence([0.99, 0.40, 0.99, 0.40], [0, 0, 0, 0])
-        sets = node_reliability(teacher, student, labels, train, p=50.0)
+        sets = node_reliability(student, teacher_context(teacher, labels, train, p=50.0))
         np.testing.assert_array_equal(sets.reliable_mask, [True, True, False, False])
         # V_b = reliable ∩ (student-entropy top 50% = nodes 1, 3) = {1}.
         np.testing.assert_array_equal(sets.distill_mask, [False, True, False, False])
@@ -130,16 +138,17 @@ class TestNodeReliabilityUnlabeled:
         rng = np.random.default_rng(2)
         teacher = rng.dirichlet(np.ones(3), size=20)
         student = rng.dirichlet(np.ones(3), size=20)
-        sets = node_reliability(teacher, student, np.zeros(20, dtype=np.int64),
-                                np.array([], dtype=np.int64), p=40.0, use_reliability=False)
+        context = teacher_context(teacher, np.zeros(20, dtype=np.int64),
+                                  np.array([], dtype=np.int64), p=40.0, use_reliability=False)
+        sets = node_reliability(student, context)
         assert sets.reliable_mask.all()
         # V_b still selects the student's most-uncertain 40%.
         assert sets.num_distill == 8
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            node_reliability(np.ones((3, 2)) / 2, np.ones((4, 2)) / 2,
-                             np.zeros(3, dtype=np.int64), np.array([0]))
+            context = teacher_context(np.ones((3, 2)) / 2, np.zeros(3, dtype=np.int64), np.array([0]))
+            node_reliability(np.ones((4, 2)) / 2, context)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 200), p=st.floats(0, 100))
@@ -150,13 +159,56 @@ class TestNodeReliabilityUnlabeled:
         student = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, n)
         train = rng.choice(n, size=8, replace=False)
-        sets = node_reliability(teacher, student, labels, train, p=p)
+        sets = node_reliability(student, teacher_context(teacher, labels, train, p=p))
         # V_b ⊆ V_r always.
         assert np.all(sets.reliable_mask[sets.distill_mask])
         # Masks have the right shape and dtype.
         assert sets.reliable_mask.shape == (n,)
         assert sets.reliable_mask.dtype == bool
         assert sets.num_distill <= int(round(n * p / 100.0))
+
+
+def alg1_distill_mask(teacher, student, labels, train, p, score):
+    """``V_b`` of Algorithm 1 computed directly, with ``p`` and ``score``
+    cutting both the teacher side and the student side."""
+    n = teacher.shape[0]
+    teacher_pred = teacher.argmax(axis=1)
+    labeled = np.zeros(n, dtype=bool)
+    labeled[train] = True
+    reliable = np.zeros(n, dtype=bool)
+    reliable[train] = teacher_pred[train] == labels[train]
+    low_teacher = entropy_threshold_mask(uncertainty_score(teacher, score), p, lowest=True)
+    reliable |= ~labeled & low_teacher & (teacher_pred == student.argmax(axis=1))
+    return reliable & entropy_threshold_mask(uncertainty_score(student, score), p, lowest=False)
+
+
+class TestContextSettingsCutBothSides:
+    """The ``p`` and score of the context also cut the student side (V_b)."""
+
+    @pytest.mark.parametrize(
+        "p, score", [(80.0, "entropy"), (40.0, "margin"), (80.0, "confidence")]
+    )
+    def test_distill_mask_uses_the_context_p_and_score(self, p, score):
+        rng = np.random.default_rng(7)
+        n, k = 200, 5
+        teacher = rng.dirichlet(np.ones(k), size=n)
+        student = rng.dirichlet(np.ones(k), size=n)
+        labels = rng.integers(0, k, n)
+        train = rng.choice(n, size=20, replace=False)
+        sets = node_reliability(student, teacher_context(teacher, labels, train, p=p, score=score))
+        expected = sets.reliable_mask & entropy_threshold_mask(
+            uncertainty_score(student, score), p, lowest=False
+        )
+        np.testing.assert_array_equal(sets.distill_mask, expected)
+        np.testing.assert_array_equal(
+            sets.distill_mask, alg1_distill_mask(teacher, student, labels, train, p, score)
+        )
+        # The default cut (p=40 by entropy) selects a different V_b here,
+        # so the comparison above can tell the two apart.
+        default = sets.reliable_mask & entropy_threshold_mask(
+            uncertainty_score(student, "entropy"), 40.0, lowest=False
+        )
+        assert not np.array_equal(expected, default)
 
 
 class TestEdgeReliability:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scores import RELIABILITY_SCORES, uncertainty_score
-from repro.core import RDDConfig, node_reliability, train_rdd
+from repro.core import RDDConfig, node_reliability, teacher_context, train_rdd
 from repro.errors import ConfigError
 
 
@@ -62,9 +62,10 @@ class TestScoreIntegration:
     def test_node_reliability_accepts_score(self, score):
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(3), size=30)
-        sets = node_reliability(
-            probs, probs, np.zeros(30, dtype=np.int64), np.arange(5), p=40.0, score=score
+        context = teacher_context(
+            probs, np.zeros(30, dtype=np.int64), np.arange(5), p=40.0, score=score
         )
+        sets = node_reliability(probs, context)
         assert np.all(sets.reliable_mask[sets.distill_mask])
 
     def test_rdd_config_validates_score(self):

@@ -88,10 +88,6 @@ class TestGraphValidation:
 
 
 class TestGraphProperties:
-    def test_unlabeled_index_complements_train(self):
-        g = simple_graph()
-        assert set(g.unlabeled_index) == {1, 2, 3, 4, 5}
-
     def test_label_rate(self):
         g = simple_graph()
         assert g.label_rate == pytest.approx(1 / 6)

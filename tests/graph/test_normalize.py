@@ -20,10 +20,6 @@ class TestAddSelfLoops:
         tilde = add_self_loops(adj)
         np.testing.assert_allclose(tilde.diagonal(), np.ones(4))
 
-    def test_custom_weight(self):
-        tilde = add_self_loops(path_graph(), weight=2.0)
-        np.testing.assert_allclose(tilde.diagonal(), np.full(4, 2.0))
-
 
 class TestGcnNormalize:
     def test_symmetric_output(self):

@@ -26,7 +26,7 @@ class TestPagerank:
         n = 30
         edges = rng.integers(0, n, size=(80, 2))
         adj = build_adjacency(n, edges)
-        ours = pagerank(adj, damping=0.85)
+        ours = pagerank(adj)
         graph = nx.from_scipy_sparse_array(adj)
         theirs = nx.pagerank(graph, alpha=0.85, tol=1e-12)
         expected = np.array([theirs[i] for i in range(n)])
@@ -45,11 +45,6 @@ class TestPagerank:
         scores = pagerank(adj)
         assert scores.sum() == pytest.approx(1.0)
         assert np.all(scores > 0)
-
-    def test_invalid_damping_raises(self):
-        adj = build_adjacency(3, np.array([[0, 1], [1, 2]]))
-        with pytest.raises(GraphError):
-            pagerank(adj, damping=1.5)
 
     def test_empty_graph_raises(self):
         with pytest.raises(GraphError):

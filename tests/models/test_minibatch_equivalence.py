@@ -33,7 +33,7 @@ def sampled_and_full_logits(graph, seeds, fanouts, sample_seed=1):
     model = make_sage(graph)
     model.eval()
     full_logits = model(graph).data
-    batch = BlockBuilder(graph.adjacency, fanouts, seed=sample_seed).build(seeds)
+    batch = BlockBuilder(graph.adjacency, fanouts, np.random.default_rng(sample_seed)).build(seeds)
     sampled = SampledTrainer._forward_blocks(model, graph, batch).data
     return sampled, full_logits[batch.seeds]
 

@@ -15,12 +15,6 @@ class TestLinear:
         layer = Linear(4, 3, rng)
         assert layer(np.ones((5, 4))).shape == (5, 3)
 
-    def test_no_bias(self, rng):
-        layer = Linear(4, 3, rng, bias=False)
-        assert layer.bias is None
-        out = layer(np.zeros((2, 4)))
-        np.testing.assert_allclose(out.data, 0.0)
-
     def test_accepts_sparse_features(self, rng):
         layer = Linear(6, 2, rng)
         features = sp.random(4, 6, density=0.5, random_state=0, format="csr")

@@ -1,8 +1,6 @@
 """MetricRegistry and the Prometheus text exporter."""
 
-import pytest
-
-from repro.obs.metrics import MetricRegistry, WindowHistogram, prometheus_text
+from repro.obs.metrics import WINDOW, MetricRegistry, prometheus_text
 
 
 class TestMetricRegistry:
@@ -15,14 +13,14 @@ class TestMetricRegistry:
         assert registry.percentile("lat", "p50") == 5.0
         assert registry.percentile("missing") is None
 
-    def test_window_bound_is_configurable(self):
-        registry = MetricRegistry(window=2)
-        for value in (1.0, 2.0, 3.0):
-            registry.observe("x", value)
+    def test_window_bound_keeps_the_latest_values(self):
+        registry = MetricRegistry()
+        for value in range(WINDOW + 1):
+            registry.observe("x", float(value))
         snapshot = registry.snapshot()["histograms"]["x"]
-        assert snapshot["count"] == 3  # total ever
-        assert snapshot["window"] == 2  # retained
-        assert snapshot["min"] == 2.0
+        assert snapshot["count"] == WINDOW + 1  # total ever
+        assert snapshot["window"] == WINDOW  # retained
+        assert snapshot["min"] == 1.0
 
     def test_prometheus_method_matches_module_function(self):
         registry = MetricRegistry()
@@ -63,7 +61,3 @@ class TestPrometheusText:
     def test_prefix_is_optional_and_leading_digit_guarded(self):
         text = prometheus_text({"counters": {"9lives": 1}, "histograms": {}}, prefix="")
         assert "_9lives 1" in text
-
-    def test_histogram_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            WindowHistogram(window=0)

@@ -37,7 +37,7 @@ def random_graph(num_nodes, edge_prob, seed):
 
 class TestBlockStructure:
     def test_blocks_chain(self, tiny_graph):
-        builder = BlockBuilder(tiny_graph.adjacency, (3, 3), seed=0)
+        builder = BlockBuilder(tiny_graph.adjacency, (3, 3), rng=np.random.default_rng(0))
         batch = builder.build(tiny_graph.train_index[:6])
         assert len(batch.blocks) == 2
         np.testing.assert_array_equal(
@@ -47,7 +47,7 @@ class TestBlockStructure:
         np.testing.assert_array_equal(batch.input_nodes, batch.blocks[0].input_nodes)
 
     def test_outputs_are_input_prefix(self, tiny_graph):
-        builder = BlockBuilder(tiny_graph.adjacency, (3, 3), seed=0)
+        builder = BlockBuilder(tiny_graph.adjacency, (3, 3), rng=np.random.default_rng(0))
         batch = builder.build(tiny_graph.train_index[:6])
         for block in batch.blocks:
             n_out = len(block.output_nodes)
@@ -55,14 +55,14 @@ class TestBlockStructure:
             assert block.adjacency.shape == (n_out, len(block.input_nodes))
 
     def test_seeds_are_sorted_unique(self, tiny_graph):
-        builder = BlockBuilder(tiny_graph.adjacency, (2,), seed=0)
+        builder = BlockBuilder(tiny_graph.adjacency, (2,), rng=np.random.default_rng(0))
         batch = builder.build(np.array([5, 3, 5, 1]))
         np.testing.assert_array_equal(batch.seeds, [1, 3, 5])
 
     def test_rows_sum_to_at_most_global_row_sum(self, tiny_graph):
         # Sampled rows are unbiased estimates: self loop + rescaled
         # neighbor slice; every entry positive, rows canonical CSR.
-        builder = BlockBuilder(tiny_graph.adjacency, (2, 2), seed=0)
+        builder = BlockBuilder(tiny_graph.adjacency, (2, 2), rng=np.random.default_rng(0))
         batch = builder.build(tiny_graph.train_index[:6])
         for block in batch.blocks:
             assert (block.adjacency.data > 0).all()
@@ -70,21 +70,21 @@ class TestBlockStructure:
 
     def test_fanout_validation(self, tiny_graph):
         with pytest.raises(GraphError):
-            BlockBuilder(tiny_graph.adjacency, ())
+            BlockBuilder(tiny_graph.adjacency, (), np.random.default_rng(0))
         with pytest.raises(GraphError):
-            BlockBuilder(tiny_graph.adjacency, (3, 0))
+            BlockBuilder(tiny_graph.adjacency, (3, 0), np.random.default_rng(0))
 
     def test_deterministic_given_seed(self, tiny_graph):
         seeds = tiny_graph.train_index[:5]
-        a = BlockBuilder(tiny_graph.adjacency, (2, 2), seed=9).build(seeds)
-        b = BlockBuilder(tiny_graph.adjacency, (2, 2), seed=9).build(seeds)
+        a = BlockBuilder(tiny_graph.adjacency, (2, 2), rng=np.random.default_rng(9)).build(seeds)
+        b = BlockBuilder(tiny_graph.adjacency, (2, 2), rng=np.random.default_rng(9)).build(seeds)
         for x, y in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(x.input_nodes, y.input_nodes)
             np.testing.assert_array_equal(x.adjacency.toarray(), y.adjacency.toarray())
 
     def test_buffers_are_reused_across_builds(self, tiny_graph):
         # The lease contract: a block is valid only until the next build.
-        builder = BlockBuilder(tiny_graph.adjacency, (3,), seed=0)
+        builder = BlockBuilder(tiny_graph.adjacency, (3,), rng=np.random.default_rng(0))
         first = builder.build(tiny_graph.train_index[:6])
         data_before = first.blocks[0].adjacency.data
         builder.build(tiny_graph.train_index[6:12])
@@ -98,7 +98,7 @@ def assert_full_fanout_rows_match_global(adjacency, seeds, num_layers=2, dtype=n
     """Every block row equals the global Â row, bitwise, under renumbering."""
     max_deg = int(np.diff(adjacency.tocsr().indptr).max())
     a_hat = gcn_normalize(adjacency).astype(dtype).toarray()
-    builder = BlockBuilder(adjacency, (max_deg,) * num_layers, seed=0, dtype=dtype)
+    builder = BlockBuilder(adjacency, (max_deg,) * num_layers, rng=np.random.default_rng(0), dtype=dtype)
     batch = builder.build(seeds)
     for block in batch.blocks:
         assert block.adjacency.dtype == dtype
@@ -128,7 +128,7 @@ class TestFullFanoutParity:
         # Pooled value buffers hold whatever an earlier batch left there;
         # here a signaling-NaN pattern, which warns if it is ever cast.
         poisoned, clean = (
-            BlockBuilder(tiny_graph.adjacency, (2, 2), seed=4, dtype=np.float32)
+            BlockBuilder(tiny_graph.adjacency, (2, 2), rng=np.random.default_rng(4), dtype=np.float32)
             for _ in range(2)
         )
         for builder in (poisoned, clean):
@@ -167,7 +167,7 @@ class TestFullFanoutParity:
         # each scaled by deg/s = 8/2 = 4 on top of the Â entry.
         adj = build_adjacency(9, np.array([[0, i] for i in range(1, 9)]))
         a_hat = gcn_normalize(adj).toarray()
-        builder = BlockBuilder(adj, (2,), seed=0)
+        builder = BlockBuilder(adj, (2,), rng=np.random.default_rng(0))
         batch = builder.build(np.array([0]))
         block = batch.blocks[0]
         dense = block.adjacency.toarray().ravel()
@@ -256,8 +256,10 @@ class TestSortedOracle:
         weights = None
         if data.draw(st.booleans(), label="weighted"):
             weights = np.random.default_rng(seed + 1).uniform(0.05, 20.0, num_nodes)
-        builder = BlockBuilder(adjacency, fanouts, seed=seed, weights=weights)
-        reference = NeighborSampler(adjacency, seed=seed, weights=weights)
+        builder = BlockBuilder(adjacency, fanouts, np.random.default_rng(seed))
+        builder.set_weights(weights)
+        reference = NeighborSampler(adjacency, np.random.default_rng(seed))
+        reference.set_weights(weights)
         batches = data.draw(st.lists(
             st.lists(st.integers(0, num_nodes - 1), min_size=1, max_size=2 * num_nodes),
             min_size=3, max_size=5,
@@ -269,8 +271,8 @@ class TestSortedOracle:
             assert builder.sampler.rng.bit_generator.state == reference.rng.bit_generator.state
 
     def test_failed_build_leaves_next_build_unchanged(self, tiny_graph):
-        builder = BlockBuilder(tiny_graph.adjacency, (2, 3), seed=5)
-        reference = NeighborSampler(tiny_graph.adjacency, seed=5)
+        builder = BlockBuilder(tiny_graph.adjacency, (2, 3), rng=np.random.default_rng(5))
+        reference = NeighborSampler(tiny_graph.adjacency, np.random.default_rng(5))
         good = tiny_graph.train_index[:6]
         assert_same_blocks(builder.build(good), reference_build(reference, (2, 3), good))
         with pytest.raises(GraphError):
@@ -283,7 +285,7 @@ class TestSortedOracle:
 class TestItemSampler:
     def test_partitions_index_exactly(self):
         index = np.arange(10, 33)
-        sampler = ItemSampler(index, batch_size=7, seed=0)
+        sampler = ItemSampler(index, batch_size=7, rng=np.random.default_rng(0))
         batches = sampler.epoch()
         assert len(batches) == len(sampler) == 4
         assert [len(b) for b in batches] == [7, 7, 7, 2]
@@ -293,28 +295,28 @@ class TestItemSampler:
         index = np.arange(20)
         weights = np.ones(20)
         weights[:5] = 100.0
-        batches = ItemSampler(index, batch_size=6, seed=0).epoch(weights=weights)
+        batches = ItemSampler(index, batch_size=6, rng=np.random.default_rng(0)).epoch(weights=weights)
         np.testing.assert_array_equal(np.sort(np.concatenate(batches)), index)
 
     def test_weighted_shuffle_front_loads_heavy_seeds(self):
         index = np.arange(100)
         weights = np.ones(100)
         weights[:10] = 1000.0
-        first = ItemSampler(index, batch_size=10, seed=4).epoch(weights=weights)[0]
+        first = ItemSampler(index, batch_size=10, rng=np.random.default_rng(4)).epoch(weights=weights)[0]
         assert np.count_nonzero(first < 10) >= 8
 
     def test_deterministic_stream(self):
-        a = ItemSampler(np.arange(17), 5, seed=3).epoch()
-        b = ItemSampler(np.arange(17), 5, seed=3).epoch()
+        a = ItemSampler(np.arange(17), 5, rng=np.random.default_rng(3)).epoch()
+        b = ItemSampler(np.arange(17), 5, rng=np.random.default_rng(3)).epoch()
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_validation(self):
         with pytest.raises(GraphError):
-            ItemSampler(np.arange(4), 0)
+            ItemSampler(np.arange(4), 0, np.random.default_rng(0))
         with pytest.raises(GraphError):
-            ItemSampler(np.empty(0, dtype=np.int64), 2)
-        sampler = ItemSampler(np.arange(4), 2)
+            ItemSampler(np.empty(0, dtype=np.int64), 2, np.random.default_rng(0))
+        sampler = ItemSampler(np.arange(4), 2, np.random.default_rng(0))
         with pytest.raises(GraphError, match="align"):
             sampler.epoch(weights=np.ones(3))
         with pytest.raises(GraphError, match="positive"):
@@ -322,7 +324,7 @@ class TestItemSampler:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weights(self, bad):
-        sampler = ItemSampler(np.arange(4), 2, seed=0)
+        sampler = ItemSampler(np.arange(4), 2, rng=np.random.default_rng(0))
         weights = np.ones(4)
         weights[2] = bad
         with pytest.raises(GraphError, match="finite"):

@@ -166,24 +166,24 @@ class TestLoopOracle:
 class TestNeighborSampler:
     def test_deterministic_given_seed(self):
         adj = star_graph(30)
-        a = NeighborSampler(adj, seed=11).sample(np.array([0]), 5)
-        b = NeighborSampler(adj, seed=11).sample(np.array([0]), 5)
+        a = NeighborSampler(adj, np.random.default_rng(11)).sample(np.array([0]), 5)
+        b = NeighborSampler(adj, np.random.default_rng(11)).sample(np.array([0]), 5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_different_seeds_differ(self):
         adj = star_graph(30)
-        a = NeighborSampler(adj, seed=0).sample(np.array([0]), 5)[0]
-        b = NeighborSampler(adj, seed=1).sample(np.array([0]), 5)[0]
+        a = NeighborSampler(adj, np.random.default_rng(0)).sample(np.array([0]), 5)[0]
+        b = NeighborSampler(adj, np.random.default_rng(1)).sample(np.array([0]), 5)[0]
         assert sorted(a.tolist()) != sorted(b.tolist())
 
     def test_validates_node_ids(self):
-        sampler = NeighborSampler(star_graph(4))
+        sampler = NeighborSampler(star_graph(4), np.random.default_rng(0))
         with pytest.raises(GraphError):
             sampler.sample(np.array([99]), 2)
 
     def test_set_weights_validation(self):
-        sampler = NeighborSampler(star_graph(4))
+        sampler = NeighborSampler(star_graph(4), np.random.default_rng(0))
         with pytest.raises(GraphError, match="shape"):
             sampler.set_weights(np.ones(3))
         with pytest.raises(GraphError, match="positive"):
@@ -199,12 +199,10 @@ class TestNeighborSampler:
         adj = build_adjacency(8, np.array([[0, 1], [0, 2], [0, 3], [4, 5], [4, 6], [4, 7]]))
         weights = np.ones(8)
         weights[[1, 2]] = bad
-        with pytest.raises(GraphError, match="finite"):
-            NeighborSampler(adj, weights=weights)
-        sampler = NeighborSampler(adj)
+        sampler = NeighborSampler(adj, np.random.default_rng(0))
         with pytest.raises(GraphError, match="finite"):
             sampler.set_weights(weights)
-        builder = BlockBuilder(adj, (2,))
+        builder = BlockBuilder(adj, (2,), np.random.default_rng(0))
         with pytest.raises(GraphError, match="finite"):
             builder.set_weights(weights)
         # A rejected install leaves the previous (uniform) weights in place.
@@ -213,7 +211,7 @@ class TestNeighborSampler:
         assert set(src[dst == 4].tolist()) <= {5, 6, 7}
 
     def test_accepts_int32_ids(self):
-        sampler = NeighborSampler(star_graph(6))
+        sampler = NeighborSampler(star_graph(6), np.random.default_rng(0))
         src, _, _ = sampler.sample(np.array([0], dtype=np.int32), 3)
         assert len(src) == 3
 

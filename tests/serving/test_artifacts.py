@@ -115,14 +115,6 @@ class TestEnsembleRoundTrip:
         for model, (_, _, logits) in zip(rebuilt, ensemble_members):
             assert np.array_equal(model.predict_logits(tiny_graph), logits)
 
-    def test_tables_only_artifact_refuses_member_models(self, tiny_graph, ensemble, tmp_path):
-        path = export_ensemble_artifact(tmp_path / "tables.rddart", ensemble, tiny_graph)
-        artifact = load_artifact(path)
-        assert artifact.members is None
-        assert np.array_equal(artifact.ensemble().embeddings(), ensemble.embeddings())
-        with pytest.raises(ArtifactError, match="transductive prediction tables"):
-            artifact.member_models(tiny_graph)
-
     def test_member_count_mismatch_rejected_at_export(
         self, tiny_graph, ensemble, ensemble_members, tmp_path
     ):

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 from repro.datasets.citation import cora_like
 from repro.serving.artifacts import ArtifactError, ModelSpec, export_model_artifact, load_artifact
+from repro.serving.cache import COLD_SIZE
 from repro.serving.engine import InductiveQuery, PredictionEngine, ServingError
 
 
@@ -113,15 +114,6 @@ class TestEnsembleServing:
         assert logits.shape == (tiny_graph.num_classes,)
         assert np.all(np.isfinite(logits))
 
-    def test_tables_only_ensemble_refuses_inductive(self, tiny_graph, ensemble, tmp_path):
-        from repro.serving.artifacts import export_ensemble_artifact
-
-        path = export_ensemble_artifact(tmp_path / "tables.rddart", ensemble, tiny_graph)
-        engine = PredictionEngine(path, tiny_graph)
-        features = np.asarray(tiny_graph.features[0]).ravel()
-        with pytest.raises(ArtifactError, match="transductive prediction tables"):
-            engine.predict_inductive(features, [0, 1])
-
 
 class TestInductive:
     def test_repeat_query_is_bitwise_identical(self, engine, tiny_graph):
@@ -166,10 +158,10 @@ class TestInductive:
         engine = PredictionEngine(gcn_artifact_path, tiny_graph)
         cache = engine._inductive_cache
         features = np.asarray(tiny_graph.features[0]).ravel()
-        for i in range(cache.cold_size + 10):
+        for i in range(COLD_SIZE + 10):
             engine.predict_inductive(features + i, [i % tiny_graph.num_nodes])
         # Every query is new, so none is promoted: only the cold LRU fills.
-        assert len(cache) == cache.cold_size
+        assert len(cache) == COLD_SIZE
 
     def test_wrong_feature_shape_rejected(self, engine, tiny_graph):
         with pytest.raises(ServingError, match="features"):

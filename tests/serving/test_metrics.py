@@ -9,9 +9,8 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
-from repro.obs.metrics import MetricRegistry, WindowHistogram
+from repro.obs.metrics import WINDOW, MetricRegistry, WindowHistogram
 from repro.serving.batching import MicroBatcher
 
 
@@ -30,17 +29,13 @@ class TestWindowHistogram:
         assert summary["p50"] == np.percentile([1.0, 2.0, 3.0, 4.0], 50)
 
     def test_window_evicts_oldest_but_count_is_total(self):
-        histogram = WindowHistogram(window=3)
-        for value in range(10):
+        histogram = WindowHistogram()
+        for value in range(WINDOW + 1):
             histogram.add(float(value))
         summary = histogram.summary()
-        assert summary["count"] == 10
-        assert summary["window"] == 3
-        assert summary["min"] == 7.0 and summary["max"] == 9.0
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            WindowHistogram(window=0)
+        assert summary["count"] == WINDOW + 1
+        assert summary["window"] == WINDOW
+        assert summary["min"] == 1.0 and summary["max"] == float(WINDOW)
 
 
 class TestServingMetrics:

@@ -73,7 +73,7 @@ class TestLossEdgeCases:
     def test_embedding_mse_all_rows(self):
         student = Tensor(np.zeros((2, 2)), requires_grad=True)
         teacher = np.ones((2, 2))
-        loss = embedding_mse(student, teacher, None)
+        loss = embedding_mse(student, teacher)
         assert loss.item() == pytest.approx(2.0)
 
     def test_edge_regularization_self_loop_contributes_zero(self):

@@ -1,39 +1,9 @@
-"""Tests for abs_/sqrt/clip ops."""
+"""Tests for the clip op."""
 
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor, check_gradients, ops
-
-
-class TestAbs:
-    def test_forward(self):
-        out = ops.abs_(Tensor([-2.0, 0.0, 3.0]))
-        np.testing.assert_allclose(out.data, [2.0, 0.0, 3.0])
-
-    def test_gradient_is_sign(self):
-        x = Tensor(np.array([-2.0, 3.0]), requires_grad=True)
-        ops.sum(ops.abs_(x)).backward()
-        np.testing.assert_allclose(x.grad, [-1.0, 1.0])
-
-    def test_gradcheck(self):
-        x = Tensor(np.array([-1.5, 2.5, -0.5]), requires_grad=True)
-        check_gradients(lambda: ops.sum(ops.abs_(x)), [x])
-
-
-class TestSqrt:
-    def test_forward(self):
-        out = ops.sqrt(Tensor([4.0, 9.0]))
-        np.testing.assert_allclose(out.data, [2.0, 3.0])
-
-    def test_gradcheck(self):
-        x = Tensor(np.array([1.0, 4.0, 0.25]), requires_grad=True)
-        check_gradients(lambda: ops.sum(ops.sqrt(x)), [x])
-
-    def test_gradient_formula(self):
-        x = Tensor(np.array([4.0]), requires_grad=True)
-        ops.sum(ops.sqrt(x)).backward()
-        np.testing.assert_allclose(x.grad, [0.25])  # 1/(2*sqrt(4))
 
 
 class TestClip:

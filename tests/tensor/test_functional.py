@@ -70,20 +70,11 @@ class TestEmbeddingMse:
         # rows: 2 and 4 → mean 3
         assert embedding_mse(student, teacher).item() == pytest.approx(3.0)
 
-    def test_index_restriction(self):
-        student = Tensor(np.zeros((3, 1)))
-        teacher = np.array([[1.0], [10.0], [2.0]])
-        loss = embedding_mse(student, teacher, np.array([0, 2]))
-        assert loss.item() == pytest.approx((1.0 + 4.0) / 2)
-
-    def test_empty_index_gives_zero(self):
-        student = Tensor(np.zeros((3, 1)))
-        assert embedding_mse(student, np.ones((3, 1)), np.array([], dtype=np.int64)).item() == 0.0
-
     def test_gradient_flows_only_into_student_rows(self):
         student = Tensor(np.zeros((3, 2)), requires_grad=True)
         teacher = np.ones((3, 2))
-        embedding_mse(student, teacher, np.array([1])).backward()
+        rows = np.array([1])
+        embedding_mse(ops.gather(student, rows), teacher[rows]).backward()
         assert np.all(student.grad[0] == 0)
         assert np.all(student.grad[1] != 0)
         assert np.all(student.grad[2] == 0)

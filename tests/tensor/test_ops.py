@@ -184,15 +184,3 @@ class TestDropoutWhere:
     def test_dropout_invalid_rate(self):
         with pytest.raises(ValueError):
             ops.dropout(t(np.ones(3)), 1.0, np.random.default_rng(0))
-
-    def test_where_selects(self):
-        cond = np.array([True, False])
-        out = ops.where(cond, t([1.0, 1.0]), t([9.0, 9.0]))
-        np.testing.assert_allclose(out.data, [1.0, 9.0])
-
-    def test_where_routes_gradients(self):
-        cond = np.array([True, False])
-        a, b = t([1.0, 1.0]), t([9.0, 9.0])
-        ops.where(cond, a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])

@@ -34,12 +34,6 @@ class TestConstruction:
     def test_item_on_scalar(self):
         assert Tensor(2.5).item() == pytest.approx(2.5)
 
-    def test_detach_shares_data_but_drops_tape(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        out = (t * 2.0).detach()
-        assert not out.requires_grad
-        assert out._backward is None
-
     def test_copy_is_deep(self):
         t = Tensor(np.ones(3))
         c = t.copy()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import RDDConfig, RDDTrainer, node_reliability, train_rdd
+from repro.core import RDDConfig, RDDTrainer, node_reliability, teacher_context, train_rdd
 from repro.datasets import cora_like
 from repro.models import SGC, GAT, GCN
 from repro.models.base import softmax_rows
@@ -47,7 +47,8 @@ class TestFailureInjection:
             other = GCN(graph.num_features, graph.num_classes, make_rng(1), hidden=8)
             Trainer(max_epochs=60).fit(other, graph)
             other_probs = softmax_rows(other.predict_logits(graph))
-            sets = node_reliability(probs, other_probs, graph.labels, graph.train_index, p=40.0)
+            context = teacher_context(probs, graph.labels, graph.train_index, p=40.0)
+            sets = node_reliability(other_probs, context)
             return sets.num_reliable / graph.num_nodes
 
         clean = reliable_fraction(0.0)

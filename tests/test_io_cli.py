@@ -108,6 +108,40 @@ class TestCli:
         assert main(["serve", "--artifact", str(path), "--port", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: the artifact embeds no dataset spec")
 
+    def test_exported_ensemble_answers_inductive_queries(self, tmp_path, capsys):
+        """``repro export --ensemble`` stores its students: an inductive
+        query answers with the α-weighted sum of the members' forwards."""
+        import scipy.sparse as sp
+
+        from repro.datasets import load_dataset
+        from repro.serving import PredictionEngine
+
+        path = tmp_path / "ensemble.rddart"
+        assert main([
+            "export", "--dataset", "cora", "--scale", "0.05", "--ensemble", "2",
+            "--max-epochs", "10", "--patience", "10", "--out", str(path),
+        ]) == 0
+        artifact = load_artifact(path)
+        graph = load_dataset("cora", scale=0.05, seed=0)
+        members = artifact.member_models(graph)
+        # The members are the trained students: their forwards reproduce
+        # the per-student logits the teacher table was built from.
+        for model, logits in zip(members, artifact.ensemble_state["logits"]):
+            assert np.array_equal(model.predict_logits(graph), logits)
+
+        features = graph.features[0]
+        features = np.asarray(features.toarray() if sp.issparse(features) else features).ravel()
+        neighbors = [1, 2, 3]
+        answer = PredictionEngine(artifact, graph).predict_inductive(features, neighbors)
+        rows = []
+        for t, model in enumerate(members):
+            member_path = export_model_artifact(
+                tmp_path / f"member{t}.rddart", model, ModelSpec("gcn", {"hidden": 16}), graph
+            )
+            rows.append(PredictionEngine(member_path, graph).predict_inductive(features, neighbors))
+        expected = np.einsum("t,tk->k", artifact.ensemble().weights, np.stack(rows))
+        np.testing.assert_allclose(answer, expected, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("mode", ["eager", "lazy"])
     def test_deltas_replays_a_log_with_parity(self, mode, tmp_path, capsys):
         """``repro deltas`` replays a removal, a re-add and a node append

@@ -61,7 +61,7 @@ class TestHarnessResume:
                 run_over_seeds(run_rdd, graphs, config)
 
         (name,) = {p.name.rsplit("-", 1)[0] for p in tmp_path.iterdir()}
-        truncate_file(store.latest_path(name), keep_fraction=0.5)
+        truncate_file(store.generations(name)[-1], keep_fraction=0.5)
 
         with pytest.warns(UserWarning, match="skipping invalid generation"):
             resumed = run_over_seeds(run_rdd, graphs, config)

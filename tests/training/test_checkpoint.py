@@ -147,10 +147,6 @@ class TestStoreGenerations:
         assert store.load("run") is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_keep_validation(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            CheckpointStore(tmp_path, keep=0)
-
 
 class TestFingerprint:
     def test_matching_fingerprint_loads(self, store):

@@ -1,50 +1,8 @@
-"""Tests for metrics, records, and seeding utilities."""
+"""Tests for records and seeding utilities."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ShapeError
-from repro.training import (
-    EnsembleResult,
-    TrainResult,
-    confusion_matrix,
-    macro_f1,
-    make_rng,
-    spawn_rngs,
-)
-
-
-class TestMetrics:
-    def test_confusion_matrix_values(self):
-        preds = np.array([0, 1, 1, 0])
-        labels = np.array([0, 1, 0, 0])
-        matrix = confusion_matrix(preds, labels)
-        np.testing.assert_array_equal(matrix, [[2, 1], [0, 1]])
-
-    def test_confusion_matrix_from_probabilities(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        matrix = confusion_matrix(probs, np.array([0, 1]))
-        np.testing.assert_array_equal(matrix, [[1, 0], [0, 1]])
-
-    def test_confusion_matrix_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix(np.array([0]), np.array([0, 1]))
-
-    def test_macro_f1_perfect(self):
-        preds = np.array([0, 1, 2])
-        assert macro_f1(preds, preds) == 1.0
-
-    def test_macro_f1_worst(self):
-        preds = np.array([1, 2, 0])
-        labels = np.array([0, 1, 2])
-        assert macro_f1(preds, labels) == 0.0
-
-    def test_macro_f1_unweighted_across_classes(self):
-        # Class 1 rare but fully correct; class 0 common and half wrong.
-        preds = np.array([0, 0, 1, 1, 1])
-        labels = np.array([0, 1, 1, 0, 0])
-        value = macro_f1(preds, labels)
-        assert 0.0 < value < 1.0
+from repro.training import EnsembleResult, TrainResult, make_rng, spawn_rngs
 
 
 class TestRecords:
@@ -63,7 +21,6 @@ class TestRecords:
             ensemble_curve=[0.75, 0.9],
         )
         assert result.average_base_accuracy == pytest.approx(0.75)
-        assert result.ensemble_gain == pytest.approx(0.15)
         assert result.last_base_test_accuracy == 0.8
         assert result.average_model_time_s == pytest.approx(3.0)
         assert result.models_to_reach(0.8) == 2

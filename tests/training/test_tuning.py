@@ -39,7 +39,7 @@ class TestGridSearch:
             tiny_graph,
             trainer=Trainer(max_epochs=15, min_epochs=1),
         )
-        assert result.num_trials == 2
+        assert len(result.trials) == 2
         assert {"val_accuracy", "test_accuracy", "hidden", "num_layers"} <= set(result.trials[0])
 
     def test_best_params_maximize_validation(self, tiny_graph):
